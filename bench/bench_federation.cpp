@@ -16,17 +16,25 @@
 //     running placement_replicas=2 — client-visible write cost (the
 //     copy is asynchronous, so this should track the single-copy
 //     number), background convergence to full replication, and the
-//     replica.fsck scrub throughput over every replica.
+//     replica.fsck scrub throughput over every replica;
+//   * a growing file: one --grow-mb MiB upload in 256 KiB appends,
+//     standalone and to the 2-replica cluster, timing the appends of the
+//     first and the last MiB. Flat means the per-append cost does not
+//     depend on the file size; then the time for that file to reach two
+//     healthy, confirmed replicas once the appends stop.
 //
-// Usage: bench_federation [--files N] [--reads N] [--json FILE]
+// Usage: bench_federation [--files N] [--reads N] [--grow-mb N]
+//                         [--json FILE]
 //   --json writes machine-readable results (folded into
 //   BENCH_federation.json when committing a federation change).
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "client/client.hpp"
@@ -52,7 +60,7 @@ core::ClarensConfig fed_config(const std::string& node, core::NodeRole role,
   open_acl.read = bench::allow_anyone();
   open_acl.write = bench::allow_anyone();
   config.initial_file_acls = {{"/data", open_acl}};
-  // The replication control plane: storage-node commit notifications
+  // The replication control plane: storage-node landed-write notices
   // (replica.committed) run the method ACL against the writer identity.
   config.initial_method_acls.push_back({"replica", bench::allow_anyone()});
   config.farm = "benchfarm";
@@ -97,17 +105,50 @@ IoCost measure_io(Client& client, int files, int reads,
   return cost;
 }
 
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Per-append latency (ms) while one file grows.
+struct Growth {
+  double first_mib_ms = 0;  // median over the appends of the first MiB
+  double last_mib_ms = 0;   // ... and of the last MiB
+};
+
+/// Upload `path` in 256 KiB write/appends until it holds `mb` MiB.
+template <typename Client>
+Growth measure_growth(Client& client, const std::string& path, int mb) {
+  constexpr int kChunk = 256 * 1024;
+  constexpr int kPerMiB = (1 << 20) / kChunk;
+  const std::string chunk(kChunk, 'g');
+  const int calls = mb * kPerMiB;
+  std::vector<double> first, last;
+  for (int i = 0; i < calls; ++i) {
+    util::Stopwatch timer;
+    client.call(i == 0 ? "file.write" : "file.append",
+                {rpc::Value(path), rpc::Value(chunk)});
+    double ms = timer.seconds() * 1e3;
+    if (i < kPerMiB) first.push_back(ms);
+    if (i >= calls - kPerMiB) last.push_back(ms);
+  }
+  return {median_of(first), median_of(last)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int files = 16;
   int reads = 400;
+  int grow_mb = 32;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--files") && i + 1 < argc) {
       files = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--reads") && i + 1 < argc) {
       reads = std::atoi(argv[++i]);
+    } else if (!std::strcmp(argv[i], "--grow-mb") && i + 1 < argc) {
+      grow_mb = std::max(1, std::atoi(argv[++i]));
     } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
       json_path = argv[++i];
     }
@@ -125,6 +166,7 @@ int main(int argc, char** argv) {
 
   // Baseline: one standalone server, no discovery, no redirect hop.
   IoCost solo;
+  Growth solo_growth;
   {
     core::ClarensConfig config =
         fed_config("solo", core::NodeRole::Standalone, root + "/solo",
@@ -139,6 +181,8 @@ int main(int argc, char** argv) {
     client.connect();
     client.authenticate();
     solo = measure_io(client, files, reads, payload);
+    client.call("file.mkdir", {rpc::Value("/data/grow")});
+    solo_growth = measure_growth(client, "/data/grow/big.bin", grow_mb);
     server.stop();
   }
 
@@ -280,6 +324,24 @@ int main(int argc, char** argv) {
   std::int64_t fsck_replicas = fsck.at("replicas_checked").as_int();
   double fsck_mb = fsck_replicas * static_cast<double>(payload.size()) / 1e6;
 
+  // Growing file on the 2-replica cluster, then its convergence.
+  rep_client.call("file.mkdir", {rpc::Value("/data/grow")});
+  const std::string grow_path = "/data/grow/big.bin";
+  Growth rep_growth = measure_growth(rep_client, grow_path, grow_mb);
+  util::Stopwatch grow_timer;
+  double grow_converge_s = -1;
+  for (int spin = 0; spin < 6000; ++spin) {
+    if (healthy_count(grow_path) >= 2) {
+      grow_converge_s = grow_timer.seconds();
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (grow_converge_s < 0) {
+    std::printf("error: the grown file never reached two replicas\n");
+    return 1;
+  }
+
   std::printf("%-28s %-12s %-12s\n", "path", "write us", "read us");
   std::printf("%-28s %-12.1f %-12.1f\n", "standalone (no hop)",
               solo.write_us, solo.read_us);
@@ -300,6 +362,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(fsck_replicas),
               static_cast<long long>(fsck_files), fsck_s,
               fsck_replicas / fsck_s, fsck_mb / fsck_s);
+  std::printf("# growing file (%d MiB, 256 KiB appends): per-append ms "
+              "first MiB / last MiB: standalone %.2f / %.2f, 2 replicas "
+              "%.2f / %.2f (growth %.2fx); 2 replicas %.2fs after the last "
+              "append\n",
+              grow_mb, solo_growth.first_mib_ms, solo_growth.last_mib_ms,
+              rep_growth.first_mib_ms, rep_growth.last_mib_ms,
+              rep_growth.last_mib_ms / rep_growth.first_mib_ms,
+              grow_converge_s);
 
   if (json_path) {
     std::string json =
@@ -326,6 +396,15 @@ int main(int argc, char** argv) {
         ", \"seconds\": " + std::to_string(fsck_s) +
         ", \"replicas_per_s\": " + std::to_string(fsck_replicas / fsck_s) +
         ", \"mb_hashed_per_s\": " + std::to_string(fsck_mb / fsck_s) + "},\n"
+        "  \"growing_file\": {\"mb\": " + std::to_string(grow_mb) +
+        ", \"append_bytes\": 262144, \"standalone_ms\": {\"first_mib\": " +
+        std::to_string(solo_growth.first_mib_ms) + ", \"last_mib\": " +
+        std::to_string(solo_growth.last_mib_ms) +
+        "}, \"replicated_ms\": {\"first_mib\": " +
+        std::to_string(rep_growth.first_mib_ms) + ", \"last_mib\": " +
+        std::to_string(rep_growth.last_mib_ms) + "}, \"growth\": " +
+        std::to_string(rep_growth.last_mib_ms / rep_growth.first_mib_ms) +
+        ", \"convergence_s\": " + std::to_string(grow_converge_s) + "},\n"
         "  \"redirects_followed\": " +
         std::to_string(routed.redirects_followed()) + "\n}\n";
     if (!std::strcmp(json_path, "-")) {

@@ -64,9 +64,9 @@ void register_vo_methods(VoManager& vo, rpc::Registry& registry);
 void register_acl_methods(AclManager& acl, VoManager& vo,
                           rpc::Registry& registry);
 /// Called after a ticket-authorized mutation lands bytes on disk; a
-/// storage node uses it to send the head its commit notification
-/// (replica.committed) so the layout table learns the content hash
-/// without the bytes ever crossing the head.
+/// storage node uses it to send the head its landed-write notice
+/// (replica.committed) so the layout table learns which node holds the
+/// newest bytes without them ever crossing the head.
 using CommitHook =
     std::function<void(const rpc::CallContext&, const std::string& path)>;
 

@@ -112,9 +112,8 @@ std::optional<federation::NodeInfo> pick_read(ClarensServer& server,
 }
 
 /// Record the intent of a write/append redirect in the layout table
-/// before the client ever reaches the storage node: the replicator now
-/// expects a commit for `path` on `primary` and treats every other
-/// replica as stale.
+/// before the client ever reaches the storage node: the layout reopens
+/// with `primary` pending and every other replica stale.
 void note_write(ClarensServer& server, const rpc::CallContext& context,
                 const std::string& path, const federation::NodeInfo& primary) {
   if (federation::Replicator* rep = server.replicator()) {

@@ -35,14 +35,12 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
                            CommitHook on_commit) {
   FileService* f = &files;
   // Fire the commit hook only for ticket-authorized mutations: those are
-  // the replicated writes a storage node executes on the head's behalf,
-  // and the hook's job is to report the landed bytes back to the head's
-  // layout table. Session-authenticated (local/standalone) writes have
-  // no layout entry to confirm.
-  // Repair-engine copies (context.replication) are excluded: the head's
-  // replicator already knows the bytes it is landing, per-chunk
-  // notifications would carry partial-content hashes, and a synchronous
-  // notify-back can deadlock a single-worker head<->storage pair.
+  // the writes a storage node executes on the head's behalf, and the
+  // hook tells the head's layout table that newer bytes landed here.
+  // Session-authenticated (local/standalone) writes have no layout.
+  // The repair engine's own copies carry the signed replication bit and
+  // are excluded: the head already knows what it is landing, and a
+  // notice per copy chunk would reopen the layout it is completing.
   auto committed = [on_commit](const rpc::CallContext& context,
                                const std::string& path) {
     if (on_commit && context.via_ticket && !context.replication) {

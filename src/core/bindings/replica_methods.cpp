@@ -9,8 +9,8 @@
 // (replica.status). Two methods close feedback loops rather than serve
 // operators: replica.report is how a client tells the head a redirect
 // target did not answer, and replica.committed is how a storage node
-// reports the checksum of a just-landed write — the only method a
-// node ticket authorizes on the head (server.cpp gates it; the binding
+// reports that a write just landed on it — the only method a node
+// ticket authorizes on the head (server.cpp gates it; the binding
 // re-checks the ticket scope against the reported path).
 #include "core/bindings/bindings.hpp"
 
@@ -178,18 +178,17 @@ void register_replica_methods(ClarensServer& server,
   registry.bind(
       "replica.committed",
       [rep](const rpc::CallContext& context, const std::string& path,
-            const std::string& node_id, const std::string& md5,
-            std::int64_t size) {
+            const std::string& node_id) {
         // A storage node authenticates this with a self-minted node
         // ticket; its scope is the committed path, so a leaked ticket
-        // for one file cannot rewrite another file's layout truth.
+        // for one file cannot reopen another file's layout.
         check_ticket(context, path, /*write=*/false);
-        rep->note_commit(path, node_id, md5, size, writer_of(context));
+        rep->note_commit(path, node_id, writer_of(context));
         return true;
       },
-      {.help = "Storage-node commit notification: checksum of a "
-               "just-landed write",
-       .params = {"path", "node_id", "md5", "size"}});
+      {.help = "Storage-node landed-write notice: newer bytes of a file "
+               "sit on this node",
+       .params = {"path", "node_id"}});
 }
 
 }  // namespace clarens::core::bindings

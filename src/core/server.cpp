@@ -11,6 +11,7 @@
 #include "rpc/binrpc.hpp"
 #include "rpc/fault.hpp"
 #include "rpc/protocol.hpp"
+#include "rpc/xml.hpp"
 #include "util/buffer.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
@@ -23,7 +24,6 @@ namespace {
 
 constexpr const char* kSessionHeader = "X-Clarens-Session";
 constexpr const char* kNodeTicketHeader = "X-Clarens-Node-Ticket";
-constexpr const char* kReplicationHeader = "X-Clarens-Replication";
 
 // Minimal browser portal (paper §3): a static page whose JavaScript would
 // issue the web-service calls; served to satisfy HTTP GET on "/".
@@ -295,14 +295,12 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
                                   const std::string& path) {
   if (!head_pool_) return;
   try {
-    // Checksum what actually landed (streamed, bounded memory), then
-    // report it under a self-minted node ticket: storage nodes hold the
-    // same cluster secret the head mints with, and the head honors node
-    // tickets for exactly this one method. The ticket carries the
-    // original writer's identity so the head's method ACL still judges
-    // the user, not the node.
-    FileService::FileChecksum sum =
-        files_->checksum(path, pki::DistinguishedName::parse(context.identity));
+    // O(1) landed-write notice under a self-minted node ticket: storage
+    // nodes hold the same cluster secret the head mints with, and the
+    // head honors node tickets for exactly this one method. The ticket
+    // carries the original writer's identity so the head's method ACL
+    // still judges the user, not the node. No hash rides along: the
+    // head polls file.checksum once, after writes to the file go quiet.
     federation::NodeTicket ticket;
     ticket.dn = context.identity;
     ticket.via_proxy = context.via_proxy;
@@ -316,16 +314,15 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
     try {
       lease->call("replica.committed",
                   {rpc::Value(path),
-                   rpc::Value(config_.farm + "/" + config_.node),
-                   rpc::Value(sum.md5), rpc::Value(sum.size)});
+                   rpc::Value(config_.farm + "/" + config_.node)});
     } catch (const SystemError&) {
       lease.discard();
       throw;
     }
   } catch (const std::exception& error) {
-    // Best effort: a lost notification leaves the layout checksum
-    // unconfirmed, and the head's fsck scrub re-derives it from the
-    // primary replica.
+    // Best effort: the redirect that minted this ticket already
+    // reopened the layout; only a later write on a reused ticket
+    // depends on this notice alone.
     CLARENS_LOG(Warn) << "commit notification for '" << path
                       << "' failed: " << error.what();
   }
@@ -432,10 +429,10 @@ http::Response ClarensServer::handle_rpc(const http::Request& request,
       // identity. On storage nodes it authorizes file.* methods only,
       // and the file handlers enforce its namespace scope and write bit
       // against the path they touch. On the head exactly one method
-      // honors tickets: replica.committed, the storage node's post-write
-      // commit notification (minted by the node with the same shared
-      // secret; the binding checks the ticket scope against the reported
-      // path). The method ACL still runs against the forwarded identity
+      // honors tickets: replica.committed, the storage node's landed-write
+      // notice (minted by the node with the same shared secret; the
+      // binding checks the ticket scope against the reported path). The
+      // method ACL still runs against the forwarded identity
       // (delegated credentials ride along in via_proxy / proxy_serial).
       federation::NodeTicket ticket = check_node_ticket(*node_token);
       bool allowed = config_.node_role == NodeRole::Storage
@@ -451,9 +448,7 @@ http::Response ClarensServer::handle_rpc(const http::Request& request,
       context.via_ticket = true;
       context.ticket_scope = ticket.scope;
       context.ticket_write = ticket.write;
-      const std::string* replication =
-          request.headers.find(kReplicationHeader);
-      context.replication = replication != nullptr && *replication == "1";
+      context.replication = ticket.replication;
       check_acl(method->info.acl_path.empty() ? rpc_request.method
                                               : method->info.acl_path,
                 pki::DistinguishedName::parse(ticket.dn));
@@ -687,9 +682,13 @@ http::Response ClarensServer::handle_get(const http::Request& request,
     FileStat st = files_->stat(path, identity);
     if (st.is_directory) {
       // Simple index listing, as the paper's file browser component shows.
-      std::string body = "<html><body><h2>" + path + "</h2><ul>";
+      // Path and names are user-writable: escape them, or a file name
+      // becomes script on the portal's origin.
+      std::string body =
+          "<html><body><h2>" + rpc::xml_escape(path) + "</h2><ul>";
       for (const auto& entry : files_->ls(path, identity)) {
-        body += "<li>" + entry.name + (entry.is_directory ? "/" : "") + "</li>";
+        body += "<li>" + rpc::xml_escape(entry.name) +
+                (entry.is_directory ? "/" : "") + "</li>";
       }
       body += "</ul></body></html>";
       return http::Response::make(200, body, "text/html");

@@ -67,6 +67,7 @@ int FileLayout::count(ReplicaState state) const {
 //   replica_count 2
 //   checksum d41d8cd98f00b204e9800998ecf8427e confirmed
 //   size 4096
+//   generation 3
 //   updated_at 1754700000
 //   dn /O=testgrid.org/OU=People/CN=Alice Able
 //   via_proxy 1 SERIAL
@@ -83,6 +84,7 @@ std::string FileLayout::encode() const {
         << "\n";
   }
   out << "size " << size << "\n";
+  out << "generation " << generation << "\n";
   out << "updated_at " << updated_at << "\n";
   if (!dn.empty()) out << "dn " << dn << "\n";
   if (via_proxy) out << "via_proxy " << proxy_serial << "\n";
@@ -114,6 +116,8 @@ std::optional<FileLayout> FileLayout::decode(const std::string& path,
           flag != std::string::npos && rest.substr(flag + 1) == "confirmed";
     } else if (key == "size") {
       layout.size = std::atoll(rest.c_str());
+    } else if (key == "generation") {
+      layout.generation = std::strtoull(rest.c_str(), nullptr, 10);
     } else if (key == "updated_at") {
       layout.updated_at = std::atoll(rest.c_str());
     } else if (key == "dn") {

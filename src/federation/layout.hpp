@@ -8,21 +8,23 @@
 // table; read routing prefers replicas the table believes are healthy.
 //
 // Replica states:
-//   pending  — the redirect was minted but no commit has been seen yet
-//              (the client writes directly to the storage node, so the
-//              head learns of completion via the node's commit
-//              notification or by polling file.checksum);
+//   pending  — holds (or is about to receive) the newest bytes, whose
+//              hash is not known yet: a write redirect was minted toward
+//              it or it sent a landed-write notice;
 //   healthy  — last verified to match the layout checksum;
 //   stale    — bytes exist but hashed differently (corruption, or an
 //              interrupted copy); never served, repaired by fsck;
 //   missing  — the node lacks the file (new replica target, node
 //              returned empty, or NotFound during a scrub).
 //
-// The checksum is *confirmed* when a storage node reported it at commit
-// time; until then it is merely adopted from whatever the primary held
-// when the replicator first looked, and fsck treats the primary — not
-// the table — as the source of truth (an adopted checksum could predate
-// the client's write; overwriting the primary from it would lose data).
+// Every write event (redirect minted, landed-write notice) bumps the
+// layout's generation and clears its checksum. The checksum is
+// *confirmed* when the replicator polled it from the primary — the node
+// that took the last write — and the generation did not move during the
+// poll. A hash taken from whatever copy replica.repair found of a file
+// the head had no layout for is merely adopted: fsck re-polls the
+// primary before trusting it (an adopted checksum could predate the
+// client's write; overwriting the primary from it would lose data).
 //
 // Persistence: one db::Store row per file in table "layout" (the head's
 // own store), a line-oriented value format parsed leniently so layouts
@@ -56,8 +58,9 @@ struct FileLayout {
   std::string path;
   int replica_count = 1;
   std::string checksum;      // hex MD5 of the content; "" = not yet known
-  bool confirmed = false;    // checksum came from a commit notification
+  bool confirmed = false;    // checksum polled from the primary, no write since
   std::int64_t size = -1;    // -1 = not yet known
+  std::uint64_t generation = 0;  // bumped by every write event
   std::int64_t updated_at = 0;  // unix seconds of the last table write
   /// Writer identity: repair copies are made with tickets minted for the
   /// original writer, so the repair engine never holds more authority

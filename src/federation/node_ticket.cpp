@@ -28,6 +28,7 @@ std::string NodeTicket::mint(std::string_view secret) const {
   payload.set("proxy_serial", proxy_serial);
   payload.set("scope", scope);
   payload.set("write", write);
+  if (replication) payload.set("replication", true);
   payload.set("exp", expires);
   std::string json = rpc::jsonrpc::serialize_value(payload);
   std::string signed_part =
@@ -70,6 +71,8 @@ std::optional<NodeTicket> NodeTicket::verify(std::string_view secret,
     ticket.proxy_serial = payload.at("proxy_serial").as_string();
     ticket.scope = payload.at("scope").as_string();
     ticket.write = payload.at("write").as_bool();
+    const rpc::Value* replication = payload.find("replication");
+    ticket.replication = replication != nullptr && replication->as_bool();
     ticket.expires = payload.at("exp").as_int();
     if (ticket.expires < now) return std::nullopt;
     return ticket;

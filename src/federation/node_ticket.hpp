@@ -28,6 +28,11 @@ struct NodeTicket {
   std::string proxy_serial;  // serial of the delegated proxy ("" = none)
   std::string scope;         // namespace prefix the ticket covers
   bool write = false;        // authorizes mutations (write/mkdir/rm)
+  /// Minted by the head's repair engine for its own copies: the storage
+  /// node skips the landed-write notice, which would otherwise reopen the
+  /// layout the copy is completing. Signed like every other field, so a
+  /// client cannot set it on its own write.
+  bool replication = false;
   std::int64_t expires = 0;  // unix seconds; invalid after this instant
 
   /// Serialize + sign with the shared cluster secret.

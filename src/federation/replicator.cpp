@@ -1,6 +1,7 @@
 #include "federation/replicator.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "rpc/fault.hpp"
 #include "util/error.hpp"
@@ -70,8 +71,9 @@ void Replicator::note_write(const std::string& path,
                             const WriterIdentity& who) {
   layouts_.update(path, [&](FileLayout& layout) {
     if (layout.replicas.empty()) layout.replica_count = options_.replicas;
-    // The bytes about to land on the primary supersede every other copy;
-    // until the commit notification arrives the content hash is unknown.
+    // The bytes landing on the primary supersede every other copy; the
+    // content hash is unknown until the confirm poll.
+    ++layout.generation;
     layout.checksum.clear();
     layout.confirmed = false;
     layout.size = -1;
@@ -84,7 +86,7 @@ void Replicator::note_write(const std::string& path,
       }
     }
     layout.mark(primary_id, ReplicaState::Pending);
-    // Primary first: fsck and checksum adoption treat replicas[0] as the
+    // Primary first: fsck and the confirm poll treat replicas[0] as the
     // node whose bytes are the truth.
     auto it = std::find_if(
         layout.replicas.begin(), layout.replicas.end(),
@@ -92,73 +94,17 @@ void Replicator::note_write(const std::string& path,
     std::rotate(layout.replicas.begin(), it, it + 1);
     return true;
   });
-  // Give the redirected client a beat to actually write before polling.
-  enqueue(Task::Kind::Replicate, path, options_.retry_base_ms);
+  debounce(path);
 }
-
-struct Replicator::InflightMark {
-  Replicator& self;
-  std::pair<std::string, std::string> key;  // (path, target node id)
-
-  InflightMark(Replicator& replicator, const std::string& path,
-               const std::string& node_id)
-      : self(replicator), key(path, node_id) {
-    util::LockGuard lock(self.mutex_);
-    self.inflight_.insert(key);
-  }
-  ~InflightMark() {
-    util::LockGuard lock(self.mutex_);
-    auto it = self.inflight_.find(key);
-    if (it != self.inflight_.end()) self.inflight_.erase(it);
-  }
-  InflightMark(const InflightMark&) = delete;
-  InflightMark& operator=(const InflightMark&) = delete;
-};
 
 void Replicator::note_commit(const std::string& path,
                              const std::string& node_id,
-                             const std::string& checksum, std::int64_t size,
                              const WriterIdentity& who) {
-  {
-    // Our own copy landing on (path, node): the chunked write/append
-    // notifications carry partial-content hashes, not a client
-    // overwrite. copy_replica verifies the finished copy end to end and
-    // run_replicate marks it healthy; adopting a chunk hash here would
-    // demote the healthy source instead.
-    util::LockGuard lock(mutex_);
-    if (inflight_.count({path, node_id}) > 0) return;
-  }
-  layouts_.update(path, [&](FileLayout& layout) {
-    if (layout.replicas.empty()) {
-      // Direct ticketed write we never saw a redirect for: adopt it.
-      layout.replica_count = options_.replicas;
-      layout.dn = who.dn;
-      layout.via_proxy = who.via_proxy;
-      layout.proxy_serial = who.proxy_serial;
-    }
-    bool changed = layout.checksum != checksum;
-    layout.checksum = checksum;
-    layout.confirmed = true;
-    layout.size = size;
-    if (changed) {
-      for (Replica& replica : layout.replicas) {
-        if (replica.state == ReplicaState::Healthy) {
-          replica.state = ReplicaState::Stale;
-        }
-      }
-    }
-    layout.mark(node_id, ReplicaState::Healthy);
-    auto it = std::find_if(
-        layout.replicas.begin(), layout.replicas.end(),
-        [&](const Replica& r) { return r.node_id == node_id; });
-    std::rotate(layout.replicas.begin(), it, it + 1);
-    return true;
-  });
-  {
-    util::LockGuard lock(mutex_);
-    ++stats_.commits;
-  }
-  enqueue(Task::Kind::Replicate, path, 0);
+  // A direct ticketed write we never saw a redirect for is adopted the
+  // same way: the notice names the node holding the newest bytes.
+  note_write(path, node_id, who);
+  util::LockGuard lock(mutex_);
+  ++stats_.commits;
 }
 
 void Replicator::note_remove(const std::string& path) {
@@ -314,23 +260,46 @@ ReplicatorStats Replicator::stats() const {
 // Worker.
 
 void Replicator::enqueue(Task::Kind kind, const std::string& path,
-                         int delay_ms) {
+                         int delay_ms, bool sweep) {
   Clock::time_point at = Clock::now() + ms(delay_ms);
   {
     util::LockGuard lock(mutex_);
     for (Task& task : queue_) {
       if (task.kind == kind && task.path == path) {
         // Collapse onto the queued task; a fresh event outranks any
-        // backoff it accumulated.
+        // backoff it accumulated. A sweep only hurries tasks in backoff:
+        // cutting a write's quiet window short would hash a file that is
+        // still growing.
+        if (sweep && task.attempt == 0) return;
         task.not_before = std::min(task.not_before, at);
         task.attempt = 0;
         cv_.notify_one();
         return;
       }
     }
-    queue_.push_back({kind, path, 0, at});
+    queue_.push_back({kind, path, 0, at, at + ms(options_.retry_max_ms)});
     ++stats_.enqueued;
   }
+  cv_.notify_one();
+}
+
+void Replicator::debounce(const std::string& path) {
+  Clock::time_point now = Clock::now();
+  Clock::time_point at = now + ms(options_.retry_base_ms);
+  util::LockGuard lock(mutex_);
+  for (Task& task : queue_) {
+    if (task.kind == Task::Kind::Replicate && task.path == path) {
+      // Writes still landing push the poll back, so a file written in
+      // many appends is hashed and copied once; the deadline keeps a file
+      // appended to forever from starving.
+      task.not_before = std::min(at, task.deadline);
+      task.attempt = 0;
+      return;
+    }
+  }
+  queue_.push_back({Task::Kind::Replicate, path, 0, at,
+                    now + ms(options_.retry_max_ms)});
+  ++stats_.enqueued;
   cv_.notify_one();
 }
 
@@ -509,7 +478,7 @@ void Replicator::enqueue_under_replicated() {
       }
     }
     if (healthy < std::max(1, layout->replica_count) || draining_replica) {
-      enqueue(Task::Kind::Replicate, path, 0);
+      enqueue(Task::Kind::Replicate, path, 0, /*sweep=*/true);
     }
   }
 }
@@ -523,37 +492,57 @@ rpc::Value Replicator::call_node(const NodeInfo& node,
                                  const FileLayout& layout, bool write) {
   std::string ticket =
       router_.mint_ticket(layout.dn, layout.via_proxy, layout.proxy_serial,
-                          parent_of(layout.path), write);
-  return router_.call_on(node, method, params, ticket, /*replication=*/true);
+                          parent_of(layout.path), write,
+                          /*replication=*/true);
+  return router_.call_on(node, method, params, ticket);
 }
 
-bool Replicator::adopt_checksum(const std::string& path, FileLayout& layout,
-                                const std::vector<NodeInfo>& live) {
-  // No commit notification yet: poll the replicas in layout order (the
-  // primary first) and adopt the first copy we can actually hash.
-  for (const Replica& replica : layout.replicas) {
-    const NodeInfo* node = live_by_id(live, replica.node_id);
-    if (!node) continue;
-    try {
-      auto [sum, size] = checksum_of(call_node(
-          *node, "file.checksum", {rpc::Value(path)}, layout, false));
-      layouts_.update(path, [&](FileLayout& current) {
-        if (current.confirmed) return false;  // a commit raced us: keep it
-        current.checksum = sum;
-        current.confirmed = false;
-        current.size = size;
-        current.mark(node->id, ReplicaState::Healthy);
-        return true;
-      });
-      if (std::optional<FileLayout> reloaded = layouts_.get(path)) {
-        layout = *reloaded;
-      }
-      return true;
-    } catch (const std::exception&) {
-      continue;  // not written yet, or node unreachable: try the next
-    }
+bool Replicator::confirm(FileLayout& layout, const std::vector<NodeInfo>& live,
+                         std::string* error_out) {
+  // Only the primary took the last write; every other copy holds older
+  // bytes or none, so none of them may speak for the file.
+  const NodeInfo* primary =
+      layout.replicas.empty() ? nullptr
+                              : live_by_id(live, layout.replicas[0].node_id);
+  if (!primary) {
+    if (error_out) *error_out = "the primary is not live";
+    return false;
   }
-  return false;
+  std::string sum;
+  std::int64_t size = 0;
+  try {
+    std::tie(sum, size) = checksum_of(call_node(
+        *primary, "file.checksum", {rpc::Value(layout.path)}, layout, false));
+  } catch (const std::exception& e) {
+    if (error_out) *error_out = std::string("checksum poll: ") + e.what();
+    return false;
+  }
+  bool applied = false;
+  layouts_.update(layout.path, [&](FileLayout& current) {
+    // A write that landed during the poll makes its result stale; the
+    // write's own event has queued a fresh task.
+    if (current.generation != layout.generation) return false;
+    if (current.checksum != sum) {
+      for (Replica& replica : current.replicas) {
+        if (replica.state == ReplicaState::Healthy) {
+          replica.state = ReplicaState::Stale;
+        }
+      }
+    }
+    current.checksum = sum;
+    current.confirmed = true;
+    current.size = size;
+    current.mark(primary->id, ReplicaState::Healthy);
+    applied = true;
+    return true;
+  });
+  if (!applied && error_out) {
+    *error_out = "a write landed during the checksum poll";
+  }
+  if (std::optional<FileLayout> reloaded = layouts_.get(layout.path)) {
+    layout = *reloaded;
+  }
+  return applied;
 }
 
 std::vector<NodeInfo> Replicator::desired_owners(const std::string& path,
@@ -582,8 +571,8 @@ bool Replicator::run_replicate(const std::string& path, int* copies_out,
   FileLayout layout = *layout_opt;
   std::vector<NodeInfo> live = router_.storage_nodes();
 
-  if (layout.checksum.empty() && !adopt_checksum(path, layout, live)) {
-    if (error_out) *error_out = "no replica holds readable bytes yet";
+  if (!layout.confirmed && !confirm(layout, live, error_out) &&
+      layout.checksum.empty()) {
     return false;
   }
 
@@ -701,7 +690,6 @@ bool Replicator::run_replicate(const std::string& path, int* copies_out,
 bool Replicator::copy_replica(const FileLayout& layout, const NodeInfo& source,
                               const NodeInfo& target, std::string* error_out) {
   const std::string& path = layout.path;
-  InflightMark inflight(*this, path, target.id);
   try {
     std::string parent = parent_of(path);
     if (parent != "/") {
@@ -791,41 +779,15 @@ FsckReport Replicator::fsck(const std::string& prefix) {
     ++report.files;
     std::vector<NodeInfo> live = router_.storage_nodes();
 
-    // An adopted (unconfirmed) checksum is hearsay: the primary's
-    // current bytes outrank it, so re-poll before judging anyone. (A
-    // confirmed checksum came from the writing node itself and IS the
-    // truth.) If the primary is unreachable the stored hash is the best
-    // guess available; secondaries are still verified against it, but
-    // the primary is never overwritten from them.
-    if (!layout.confirmed && !layout.replicas.empty()) {
-      const NodeInfo* primary = live_by_id(live, layout.replicas[0].node_id);
-      if (primary) {
-        try {
-          auto [sum, size] = checksum_of(call_node(
-              *primary, "file.checksum", {rpc::Value(path)}, layout, false));
-          if (sum != layout.checksum) {
-            layouts_.update(path, [&](FileLayout& current) {
-              if (current.confirmed) return false;
-              current.checksum = sum;
-              current.size = size;
-              for (Replica& replica : current.replicas) {
-                if (replica.state == ReplicaState::Healthy) {
-                  replica.state = ReplicaState::Stale;
-                }
-              }
-              current.mark(primary->id, ReplicaState::Healthy);
-              return true;
-            });
-            if (auto reloaded = layouts_.get(path)) layout = *reloaded;
-          }
-        } catch (const std::exception&) {
-          // Leave the adopted hash in place.
-        }
-      }
-    }
+    // An unconfirmed layout may have newer bytes on its primary than any
+    // hash the table holds: poll before judging anyone. With no hash at
+    // all (a write in flight, or no replica answering) there is nothing
+    // to verify against; the repair below reports the failure.
+    if (!layout.confirmed) confirm(layout, live, nullptr);
 
     // Verify every replica against the layout truth.
     for (const Replica& replica : layout.replicas) {
+      if (layout.checksum.empty()) break;
       const NodeInfo* node = live_by_id(live, replica.node_id);
       ReplicaState verdict = replica.state;
       if (!node) {

@@ -9,10 +9,16 @@
 //
 //   * note_write/note_commit/note_remove feed it layout events from the
 //     head's method bindings; each enqueues work on an internal queue.
+//     Write events are debounced: each one bumps the layout generation
+//     and pushes the file's task back by retry_base_ms, capped at
+//     retry_max_ms after the first event, so a file written in many
+//     appends is hashed and copied once, when the writes go quiet.
 //   * A single worker thread drains the queue through the Router's
-//     keep-alive peer pools: copy chunks from a healthy replica
-//     (file.read), land them on the target (file.write + file.append),
-//     then verify with file.checksum before marking the replica healthy.
+//     keep-alive peer pools: confirm the primary's checksum with one
+//     file.checksum poll (dropped if the generation moved meanwhile),
+//     copy chunks from a healthy replica (file.read), land them on the
+//     target (file.write + file.append), then verify with file.checksum
+//     before marking the replica healthy.
 //     Failures retry with capped exponential backoff + jitter; after
 //     retry_max attempts the task is parked (the periodic
 //     under-replication sweep and the fsck scrub pick it up again).
@@ -38,7 +44,9 @@
 //
 // Repair authority: copies are made with node tickets minted for the
 // layout's recorded writer identity, so the repair engine never holds
-// more authority than the write that created the data.
+// more authority than the write that created the data. The tickets carry
+// the signed replication bit, so the targets send no landed-write notice
+// for the copy's own chunks.
 #pragma once
 
 #include <chrono>
@@ -131,15 +139,15 @@ class Replicator {
   void stop();
 
   /// A write/append redirect for `path` was minted toward `primary_id`:
-  /// the layout's checksum is unknown until the commit notification (or
-  /// a poll) lands, and every other replica is presumed stale.
+  /// the layout reopens — generation bumped, checksum unknown until the
+  /// debounced confirm poll, every other replica presumed stale.
   void note_write(const std::string& path, const std::string& primary_id,
                   const WriterIdentity& who);
 
-  /// A storage node reported a completed write (replica.committed):
-  /// `checksum`/`size` become the confirmed layout truth.
+  /// A storage node reported a landed write (replica.committed): the
+  /// layout reopens exactly as for note_write, with `node_id` as the
+  /// primary. Constant cost; the hash comes from the confirm poll.
   void note_commit(const std::string& path, const std::string& node_id,
-                   const std::string& checksum, std::int64_t size,
                    const WriterIdentity& who);
 
   /// A remove redirect was minted: purge the remaining replicas and the
@@ -176,20 +184,13 @@ class Replicator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// RAII tag for a replica copy in flight toward (path, node): the
-  /// storage node notifies the head on every ticketed file.write/append,
-  /// so the copy's own chunks arrive as commit notifications carrying
-  /// partial-content hashes. note_commit drops notifications for tagged
-  /// pairs — otherwise each chunk would read as a client overwrite,
-  /// demote the healthy source to stale, and two replicas would re-copy
-  /// each other forever.
-  struct InflightMark;
-
   struct Task {
     enum class Kind { Replicate, Purge } kind = Kind::Replicate;
     std::string path;
     int attempt = 0;
     Clock::time_point not_before{};
+    /// Write events never postpone the task past this instant.
+    Clock::time_point deadline{};
   };
 
   void run_worker();
@@ -197,7 +198,10 @@ class Replicator {
   void tick();
   void on_node_lost(const std::string& node_id);
   void enqueue_under_replicated();
-  void enqueue(Task::Kind kind, const std::string& path, int delay_ms);
+  void enqueue(Task::Kind kind, const std::string& path, int delay_ms,
+               bool sweep = false);
+  /// Queue (or push back) `path`'s Replicate task after a write event.
+  void debounce(const std::string& path);
 
   /// Bring `path` up to its layout's replica target. `copies_out`, when
   /// non-null, accumulates the number of replica copies made.
@@ -206,8 +210,11 @@ class Replicator {
   bool run_purge(const std::string& path, std::string* error_out);
   bool copy_replica(const FileLayout& layout, const NodeInfo& source,
                     const NodeInfo& target, std::string* error_out);
-  bool adopt_checksum(const std::string& path, FileLayout& layout,
-                      const std::vector<NodeInfo>& live);
+  /// Poll the primary's checksum and record it as the confirmed truth,
+  /// unless the generation moved during the poll. Reloads `layout`
+  /// whenever the poll answered.
+  bool confirm(FileLayout& layout, const std::vector<NodeInfo>& live,
+               std::string* error_out);
 
   /// Ring owners for `path` honoring its layout target and skipping
   /// draining nodes.
@@ -235,8 +242,6 @@ class Replicator {
   std::map<std::string, Clock::time_point> suspects_ CLARENS_GUARDED_BY(
       mutex_);
   std::set<std::string> draining_ CLARENS_GUARDED_BY(mutex_);
-  std::multiset<std::pair<std::string, std::string>> inflight_
-      CLARENS_GUARDED_BY(mutex_);
   bool seeded_membership_ CLARENS_GUARDED_BY(mutex_) = false;
   std::uint64_t rand_state_ CLARENS_GUARDED_BY(mutex_) = 0x9e3779b97f4a7c15ull;
   ReplicatorStats stats_ CLARENS_GUARDED_BY(mutex_);

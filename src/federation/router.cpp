@@ -98,25 +98,24 @@ void Router::invalidate() {
 
 std::string Router::mint_ticket(const std::string& dn, bool via_proxy,
                                 const std::string& proxy_serial,
-                                const std::string& scope, bool write) const {
+                                const std::string& scope, bool write,
+                                bool replication) const {
   NodeTicket ticket;
   ticket.dn = dn;
   ticket.via_proxy = via_proxy;
   ticket.proxy_serial = proxy_serial;
   ticket.scope = scope;
   ticket.write = write;
+  ticket.replication = replication;
   ticket.expires = util::unix_now() + options_.ticket_ttl_s;
   return ticket.mint(options_.secret);
 }
 
 rpc::Value Router::call_on(const NodeInfo& node, const std::string& method,
                            const std::vector<rpc::Value>& params,
-                           const std::string& ticket, bool replication) {
+                           const std::string& ticket) {
   client::PeerPool::Lease lease = pool_.lease(node.url);
   lease->set_header("X-Clarens-Node-Ticket", ticket);
-  // Pooled connections keep their headers across leases, so the
-  // replication mark must be set (or erased: empty value) on every call.
-  lease->set_header("X-Clarens-Replication", replication ? "1" : "");
   try {
     return lease->call(method, params);
   } catch (const SystemError&) {

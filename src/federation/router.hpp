@@ -73,21 +73,20 @@ class Router {
   /// Mint a ticket letting `dn` act on `scope` on a storage node.
   /// `write` grants mutations (file.write/mkdir/rm); read redirects and
   /// metadata proxying mint read-only tickets so a leaked/logged token
-  /// can never authorize a change.
+  /// can never authorize a change. `replication` marks the repair
+  /// engine's own copies (see NodeTicket::replication).
   std::string mint_ticket(const std::string& dn, bool via_proxy,
                           const std::string& proxy_serial,
-                          const std::string& scope, bool write) const;
+                          const std::string& scope, bool write,
+                          bool replication = false) const;
 
   /// Proxy one call to `node` over the keep-alive pool, presenting
   /// `ticket`. Throws what the remote call throws (rpc::Fault,
   /// SystemError);
   /// a transport failure retires the pooled connection.
-  /// `replication` marks the call as repair-engine traffic
-  /// (X-Clarens-Replication): the target skips its commit notification,
-  /// which would otherwise call back into the head synchronously.
   rpc::Value call_on(const NodeInfo& node, const std::string& method,
                      const std::vector<rpc::Value>& params,
-                     const std::string& ticket, bool replication = false);
+                     const std::string& ticket);
 
   /// Issue the same call on every node concurrently (plaintext targets
   /// go through one epoll loop; TLS targets fall back to sequential

@@ -25,6 +25,19 @@ namespace {
   throw SystemError(what + ": " + std::strerror(errno));
 }
 
+// The send paths never raise SIGPIPE: a peer that reset the connection
+// surfaces as EPIPE on this call instead of killing the process.
+ssize_t send_bytes(int fd, const void* data, std::size_t size) {
+  return ::send(fd, data, size, MSG_NOSIGNAL);
+}
+
+ssize_t send_iov(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+}
+
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -139,7 +152,7 @@ std::size_t TcpConnection::read(std::span<std::uint8_t> out) {
 void TcpConnection::write_all(std::span<const std::uint8_t> data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    ssize_t n = ::write(fd_.get(), data.data() + sent, data.size() - sent);
+    ssize_t n = send_bytes(fd_.get(), data.data() + sent, data.size() - sent);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -179,7 +192,7 @@ void TcpConnection::write_vec(std::span<const std::string_view> chunks) {
   std::size_t sent = 0;
   std::size_t first = 0;
   while (sent < total) {
-    ssize_t n = ::writev(fd_.get(), iov + first, static_cast<int>(count - first));
+    ssize_t n = send_iov(fd_.get(), iov + first, count - first);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -237,7 +250,7 @@ std::optional<std::size_t> TcpConnection::read_some(std::span<std::uint8_t> out)
 
 std::size_t TcpConnection::write_some(std::span<const std::uint8_t> data) {
   for (;;) {
-    ssize_t n = ::write(fd_.get(), data.data(), data.size());
+    ssize_t n = send_bytes(fd_.get(), data.data(), data.size());
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
@@ -257,7 +270,7 @@ std::size_t TcpConnection::writev_some(
   }
   if (count == 0) return 0;
   for (;;) {
-    ssize_t n = ::writev(fd_.get(), iov, static_cast<int>(count));
+    ssize_t n = send_iov(fd_.get(), iov, count);
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;

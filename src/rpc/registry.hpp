@@ -55,12 +55,10 @@ struct CallContext {
   bool via_ticket = false;
   std::string ticket_scope;
   bool ticket_write = false;
-  /// True when a ticketed call was issued by a head's repair engine
-  /// (X-Clarens-Replication header). Replica copies must not fire the
-  /// commit-notification hook: the head already holds the layout truth,
-  /// and with single-worker servers a synchronous notify-back would
-  /// deadlock the head<->storage pair. Advisory only — a writer spoofing
-  /// the header merely skips commit tracking, which fsck reconciles.
+  /// True when the node ticket carries the signed replication bit: the
+  /// call is one of the head repair engine's own copies, which must not
+  /// send the landed-write notice (it would reopen the layout the copy
+  /// is completing). Only the head can mint the bit.
   bool replication = false;
 
   /// A resolved on-disk byte range a handler may hand back instead of a

@@ -1,6 +1,6 @@
 // Runtime lock-rank deadlock detector (CLARENS_LOCK_RANK_CHECK builds
-// only; in release builds this translation unit is empty and the hooks
-// in sync.hpp compile to nothing).
+// only; in release builds the detector compiles out and the hooks in
+// sync.hpp compile to nothing), plus util::Thread's signal mask.
 //
 // Each thread keeps a stack of the locks it currently holds. Acquiring a
 // lock whose rank is not strictly greater than every held rank — or
@@ -115,3 +115,16 @@ int held_count() { return t_held.size; }
 }  // namespace clarens::util::rank_check
 
 #endif  // CLARENS_LOCK_RANK_CHECK
+
+#include <signal.h>
+
+namespace clarens::util {
+
+void Thread::block_sigpipe() noexcept {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+}
+
+}  // namespace clarens::util

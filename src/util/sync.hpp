@@ -341,8 +341,14 @@ class CondVar {
 class Thread {
  public:
   Thread() noexcept = default;
+  /// Runs `fn` with SIGPIPE blocked: a peer reset must not kill the
+  /// process, whatever the embedding program does with the signal.
   template <typename Fn>
-  explicit Thread(Fn&& fn) : t_(std::forward<Fn>(fn)) {}
+  explicit Thread(Fn&& fn)
+      : t_([fn = std::forward<Fn>(fn)]() mutable {
+          block_sigpipe();
+          fn();
+        }) {}
 
   Thread(Thread&&) noexcept = default;
   Thread& operator=(Thread&& other) noexcept = default;
@@ -359,6 +365,8 @@ class Thread {
   }
 
  private:
+  static void block_sigpipe() noexcept;
+
   std::thread t_;
 };
 

@@ -1,12 +1,19 @@
 // Tests for the browser-portal serving path (§3): built-in page, static
-// pages from portal_dir with content types, containment, and the
-// JSON-RPC contract the portal JavaScript relies on.
+// pages from portal_dir with content types, containment, escaped
+// directory listings, surviving a client that resets mid-download, and
+// the JSON-RPC contract the portal JavaScript relies on.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
+#include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "client/client.hpp"
 #include "core/server.hpp"
+#include "http/parser.hpp"
+#include "net/socket.hpp"
 #include "test_fixtures.hpp"
 
 namespace clarens::core {
@@ -103,6 +110,86 @@ TEST(Portal, ShippedPortalAssetsServe) {
   http::Response js = client.get("/portal/portal.js");
   EXPECT_EQ(js.status, 200);
   EXPECT_NE(js.body.find("X-Clarens-Session"), std::string::npos);
+  server.stop();
+}
+
+// File and directory names are user-writable: a listing that pasted
+// them into HTML would be stored script on the portal's origin.
+TEST(Portal, DirectoryListingEscapesPathAndNames) {
+  const TestPki& pki = TestPki::instance();
+  TempDir tmp;
+  std::string dir = tmp.sub("data");
+  // The file "<script>x</script>": a directory "<script>x<" holding an
+  // entry "script>".
+  std::filesystem::create_directories(dir + "/<script>x<");
+  std::ofstream(dir + "/<script>x</script>") << "x";
+
+  ClarensConfig config = base_config(pki);
+  FileAcl facl;
+  facl.read.allow_dns = {AclSpec::kAnyone};
+  config.initial_file_acls = {{"/data", facl}};
+  config.file_roots = {{"/data", dir}};
+  ClarensServer server(std::move(config));
+  server.start();
+  client::ClientOptions options;
+  options.port = server.port();
+  options.credential = pki.alice;
+  options.trust = &pki.trust;
+  client::ClarensClient client(options);
+  client.authenticate();
+
+  http::Response top = client.get("/data");
+  ASSERT_EQ(top.status, 200);
+  EXPECT_NE(top.body.find("<li>&lt;script&gt;x&lt;/</li>"), std::string::npos)
+      << top.body;
+  http::Response inner = client.get("/data/%3Cscript%3Ex%3C");
+  ASSERT_EQ(inner.status, 200);
+  EXPECT_NE(inner.body.find("<h2>/data/&lt;script&gt;x&lt;</h2>"),
+            std::string::npos)
+      << inner.body;
+  EXPECT_NE(inner.body.find("<li>script&gt;</li>"), std::string::npos);
+  for (const std::string& body : {top.body, inner.body}) {
+    EXPECT_EQ(body.find("<script"), std::string::npos) << body;
+  }
+  server.stop();
+}
+
+// A client that resets the connection while a large file streams to it
+// must cost that one connection, not the process (SIGPIPE's default
+// action would end it).
+TEST(Portal, ClientResetMidDownloadLeavesTheServerUp) {
+  const TestPki& pki = TestPki::instance();
+  TempDir tmp;
+  std::string dir = tmp.sub("portal");
+  // Sparse: large on the wire, nothing on disk.
+  { std::ofstream create(dir + "/big.bin"); }
+  std::filesystem::resize_file(dir + "/big.bin", 64 << 20);
+  ClarensConfig config = base_config(pki);
+  config.portal_dir = dir;
+  ClarensServer server(std::move(config));
+  server.start();
+
+  for (int i = 0; i < 3; ++i) {
+    net::TcpConnection conn =
+        net::TcpConnection::connect("127.0.0.1", server.port());
+    conn.write_all(std::string_view(
+        "GET /portal/big.bin HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"));
+    std::array<std::uint8_t, 64 * 1024> buf;
+    ASSERT_GT(conn.read(buf), 0u);  // the transfer is under way
+    linger reset{1, 0};             // close with RST, not FIN
+    ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+    conn.close();
+  }
+  // Give the workers time to run into the resets before probing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  auto client = make_client(pki, server.port());
+  client.connect();
+  http::Response pong = client.get("/ping");
+  EXPECT_EQ(pong.status, 200);
+  EXPECT_EQ(pong.body, "pong\n");
   server.stop();
 }
 

@@ -1,24 +1,35 @@
-// Unit tests for the self-healing replication layer (ISSUE 10):
-// FileLayout encode/decode, the LayoutTable over db::Store, the
-// FaultInjector switchboard, the client RetryPolicy schedule, and the
-// Replicator's event intake / suspect tracking without its worker
-// thread (cluster behavior is covered by federation_cluster_test).
+// Unit tests for the self-healing replication layer: FileLayout
+// encode/decode, the LayoutTable over db::Store, the FaultInjector
+// switchboard, the client RetryPolicy schedule, the Replicator's event
+// intake / suspect tracking without its worker thread, and the write
+// path's landed-write notice, debounce and confirm poll against a live
+// head + two storage nodes (node loss and bit rot are covered by
+// federation_cluster_test).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "client/client.hpp"
 #include "client/routed.hpp"
+#include "core/server.hpp"
+#include "crypto/md5.hpp"
 #include "db/store.hpp"
 #include "discovery/discovery_server.hpp"
+#include "discovery/station.hpp"
 #include "federation/layout.hpp"
 #include "federation/replicator.hpp"
 #include "federation/router.hpp"
+#include "test_fixtures.hpp"
 #include "util/fault.hpp"
 
 namespace clarens {
@@ -36,6 +47,7 @@ TEST(FileLayout, EncodeDecodeRoundtrip) {
   layout.checksum = "d41d8cd98f00b204e9800998ecf8427e";
   layout.confirmed = true;
   layout.size = 4096;
+  layout.generation = 7;
   layout.updated_at = 1754700000;
   layout.dn = "/O=testgrid.org/OU=People/CN=Alice Able";  // embedded spaces
   layout.via_proxy = true;
@@ -53,6 +65,7 @@ TEST(FileLayout, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->checksum, layout.checksum);
   EXPECT_TRUE(decoded->confirmed);
   EXPECT_EQ(decoded->size, 4096);
+  EXPECT_EQ(decoded->generation, 7u);
   EXPECT_EQ(decoded->updated_at, 1754700000);
   EXPECT_EQ(decoded->dn, layout.dn);
   EXPECT_TRUE(decoded->via_proxy);
@@ -352,27 +365,35 @@ TEST_F(ReplicatorTest, NoteWriteRecordsPendingPrimaryAndWriter) {
   EXPECT_EQ(replicator.stats().queue_depth, 1u);  // worker never started
 }
 
-TEST_F(ReplicatorTest, CommitConfirmsChecksumAndPromotesThePrimary) {
+TEST_F(ReplicatorTest, CommitReopensTheLayoutAndPromotesThePrimary) {
   federation::Replicator replicator = make_replicator();
   replicator.note_write("/data/run1/a", "fedfarm/fst1", alice_);
-  replicator.note_commit("/data/run1/a", "fedfarm/fst1", "cafe1234", 42,
-                         alice_);
+  replicator.note_commit("/data/run1/a", "fedfarm/fst1", alice_);
 
+  // The notice carries no hash: the layout stays open until the
+  // debounced confirm poll, with the noticing node first.
   auto layout = layouts_.get("/data/run1/a");
   ASSERT_TRUE(layout.has_value());
-  EXPECT_EQ(layout->checksum, "cafe1234");
-  EXPECT_TRUE(layout->confirmed);
-  EXPECT_EQ(layout->size, 42);
-  EXPECT_EQ(layout->replicas[0].state, federation::ReplicaState::Healthy);
+  EXPECT_TRUE(layout->checksum.empty());
+  EXPECT_FALSE(layout->confirmed);
+  EXPECT_EQ(layout->generation, 2u);
+  EXPECT_EQ(layout->replicas[0].node_id, "fedfarm/fst1");
+  EXPECT_EQ(layout->replicas[0].state, federation::ReplicaState::Pending);
   EXPECT_EQ(replicator.stats().commits, 1u);
+  // Both events collapsed onto one queued task.
+  EXPECT_EQ(replicator.stats().enqueued, 1u);
+  EXPECT_EQ(replicator.stats().queue_depth, 1u);
 }
 
 TEST_F(ReplicatorTest, RewriteDemotesSurvivingHealthyReplicas) {
   federation::Replicator replicator = make_replicator();
   replicator.note_write("/data/run1/a", "fedfarm/fst1", alice_);
-  replicator.note_commit("/data/run1/a", "fedfarm/fst1", "v1hash", 10, alice_);
-  // Second replica caught up, then the file is overwritten via fst2.
+  replicator.note_commit("/data/run1/a", "fedfarm/fst1", alice_);
+  // Confirmed and replicated, then the file is overwritten via fst2.
   layouts_.update("/data/run1/a", [](federation::FileLayout& l) {
+    l.checksum = "v1hash";
+    l.confirmed = true;
+    l.mark("fedfarm/fst1", federation::ReplicaState::Healthy);
     l.mark("fedfarm/fst2", federation::ReplicaState::Healthy);
     return true;
   });
@@ -380,7 +401,7 @@ TEST_F(ReplicatorTest, RewriteDemotesSurvivingHealthyReplicas) {
 
   auto layout = layouts_.get("/data/run1/a");
   ASSERT_TRUE(layout.has_value());
-  EXPECT_TRUE(layout->checksum.empty());  // unknown until the next commit
+  EXPECT_TRUE(layout->checksum.empty());  // unknown until the next poll
   EXPECT_FALSE(layout->confirmed);
   // New primary first and pending; the old copy is stale, never served.
   ASSERT_EQ(layout->replicas.size(), 2u);
@@ -393,15 +414,16 @@ TEST_F(ReplicatorTest, RewriteDemotesSurvivingHealthyReplicas) {
 
 TEST_F(ReplicatorTest, CommitWithoutRedirectAdoptsTheFile) {
   // A client that wrote straight to a storage node with a ticket: the
-  // head only learns of the file from the commit notification.
+  // head only learns of the file from the landed-write notice.
   federation::Replicator replicator = make_replicator();
-  replicator.note_commit("/data/direct", "fedfarm/fst3", "beef", 7, alice_);
+  replicator.note_commit("/data/direct", "fedfarm/fst3", alice_);
   auto layout = layouts_.get("/data/direct");
   ASSERT_TRUE(layout.has_value());
   EXPECT_EQ(layout->replica_count, 2);
   EXPECT_EQ(layout->dn, alice_.dn);
-  EXPECT_TRUE(layout->confirmed);
+  EXPECT_FALSE(layout->confirmed);  // until the confirm poll
   EXPECT_EQ(layout->replicas[0].node_id, "fedfarm/fst3");
+  EXPECT_EQ(layout->replicas[0].state, federation::ReplicaState::Pending);
 }
 
 TEST_F(ReplicatorTest, NoteRemoveHonorsComponentBoundaries) {
@@ -462,6 +484,327 @@ TEST_F(ReplicatorTest, StartStopIdempotentAndStopWithoutStartIsSafe) {
     replicator.stop();
     replicator.stop();
   }  // destructor after stop must not hang
+}
+
+// ---------------------------------------------------------------------------
+// The write path against a live head + two storage nodes
+
+constexpr const char* kClusterSecret = "replication-cluster-secret";
+constexpr const char* kAlice = "/O=testgrid.org/OU=People/CN=Alice Able";
+
+/// Poll until `predicate` holds or ~10 s elapse (sanitizer headroom).
+template <typename F>
+bool eventually(F predicate) {
+  for (int i = 0; i < 500; ++i) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return predicate();
+}
+
+core::ClarensConfig cluster_config(const std::string& node,
+                                   core::NodeRole role,
+                                   const std::string& files,
+                                   const std::string& head_url,
+                                   std::uint16_t station_port) {
+  core::ClarensConfig config;
+  config.trust = testing::TestPki::instance().trust;
+  core::AclSpec anyone;
+  anyone.allow_dns = {core::AclSpec::kAnyone};
+  config.initial_method_acls = {
+      {"system", anyone}, {"file", anyone}, {"replica", anyone}};
+  core::FileAcl facl;
+  facl.read = anyone;
+  facl.write = anyone;
+  config.initial_file_acls = {{"/data", facl}};
+  config.farm = "fedfarm";
+  config.node = node;
+  config.node_role = role;
+  config.node_ticket_secret = kClusterSecret;
+  config.head_url = head_url;
+  config.station = {{"127.0.0.1", station_port}};
+  config.publish_interval_ms = 100;
+  config.federation_refresh_ms = 100;
+  if (!files.empty()) config.file_roots = {{"/data", files}};
+  return config;
+}
+
+/// One head (placement_replicas 2) and storage nodes fst0/fst1.
+/// `debounce_ms` is the head's replication_retry_base_ms: how long
+/// writes to a file must stay quiet before it is confirmed and copied.
+/// `grace_ms` also sets the under-replication sweep cadence (at least
+/// 1 s).
+class ReplicationCluster {
+ public:
+  /// Runs on a storage node after its file.checksum computed a result
+  /// and before the result is sent.
+  using ChecksumHook =
+      std::function<void(std::size_t node, const std::string& path)>;
+
+  explicit ReplicationCluster(int debounce_ms, int grace_ms = 5000)
+      : discovery_(discovery_store_, /*record_ttl=*/60) {
+    discovery_.subscribe("127.0.0.1", station_.port());
+    core::ClarensConfig config = cluster_config(
+        "head", core::NodeRole::Head, "", "", station_.port());
+    config.placement_replicas = 2;
+    config.replication_retry_base_ms = debounce_ms;
+    config.replication_grace_ms = grace_ms;
+    head = std::make_unique<core::ClarensServer>(std::move(config));
+    head->attach_discovery(discovery_);
+    head->start();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      dirs[i] = tmp_.sub("fst" + std::to_string(i));
+      nodes[i] = std::make_unique<core::ClarensServer>(
+          cluster_config("fst" + std::to_string(i), core::NodeRole::Storage,
+                         dirs[i], head->url(), station_.port()));
+      nodes[i]->start();
+    }
+    ready = eventually(
+        [&] { return head->router()->storage_nodes().size() == 2; });
+  }
+
+  ~ReplicationCluster() {
+    for (auto& node : nodes) node->stop();
+    head->stop();
+    discovery_.stop();
+    station_.stop();
+  }
+
+  /// Count file.checksum calls per node, running `hook` inside each.
+  void count_checksums(ChecksumHook hook = {}) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      rpc::Registry& registry = nodes[i]->registry();
+      std::shared_ptr<const rpc::Method> method =
+          registry.find("file.checksum");
+      registry.add(
+          "file.checksum",
+          [this, i, method, hook](const rpc::CallContext& context,
+                                  const std::vector<rpc::Value>& params) {
+            rpc::Value result = method->handler(context, params);
+            ++checksums[i];
+            if (hook) hook(i, params.at(0).as_string());
+            return result;
+          },
+          method->info);
+    }
+  }
+
+  std::unique_ptr<client::RoutedClient> client() const {
+    client::ClientOptions base;
+    base.credential = testing::TestPki::instance().alice;
+    base.trust = &testing::TestPki::instance().trust;
+    auto routed = std::make_unique<client::RoutedClient>(
+        head->url(), base, /*max_attempts=*/20, /*retry_backoff_ms=*/50);
+    routed->authenticate();
+    return routed;
+  }
+
+  /// A plain client on storage node `node` presenting `ticket`.
+  std::unique_ptr<client::ClarensClient> node_client(
+      std::size_t node, const std::string& ticket) const {
+    client::ClientOptions options;
+    options.port = nodes[node]->port();
+    auto direct = std::make_unique<client::ClarensClient>(options);
+    direct->connect();
+    direct->set_header("X-Clarens-Node-Ticket", ticket);
+    return direct;
+  }
+
+  std::size_t index_of(const std::string& node_id) const {
+    return node_id == "fedfarm/fst0" ? 0 : 1;
+  }
+
+  std::string disk(std::size_t node, const std::string& path) const {
+    std::ifstream in(dirs[node] + path.substr(std::string("/data").size()),
+                     std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  federation::FileLayout layout(const std::string& path) const {
+    return head->layouts()->get(path).value_or(federation::FileLayout{});
+  }
+
+  /// Confirmed with `md5` and held healthy by both nodes.
+  bool replicated(const std::string& path, const std::string& md5) const {
+    federation::FileLayout l = layout(path);
+    return l.confirmed && l.checksum == md5 &&
+           l.count(federation::ReplicaState::Healthy) == 2;
+  }
+
+  std::array<std::unique_ptr<core::ClarensServer>, 2> nodes;
+  std::array<std::string, 2> dirs;
+  std::unique_ptr<core::ClarensServer> head;
+  std::array<std::atomic<int>, 2> checksums{};
+  bool ready = false;
+
+ private:
+  testing::TempDir tmp_;
+  discovery::StationServer station_;
+  db::Store discovery_store_;
+  discovery::DiscoveryServer discovery_;
+};
+
+TEST(ReplicationCluster, AppendedFileIsHashedOnceAndCopiedOnce) {
+  // Sweeps every second: the paced upload below outlasts two of them,
+  // and neither may cut its quiet window short.
+  ReplicationCluster c(/*debounce_ms=*/500, /*grace_ms=*/100);
+  ASSERT_TRUE(c.ready);
+  c.count_checksums();
+  std::unique_ptr<client::RoutedClient> routed = c.client();
+  client::RoutedClient& client = *routed;
+  const std::string path = "/data/app/f.bin";
+  client.call("file.mkdir", {rpc::Value("/data/app")});
+  std::string content;
+  for (int i = 0; i < 32; ++i) {
+    std::string chunk(8192, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(client
+                    .call(i == 0 ? "file.write" : "file.append",
+                          {rpc::Value(path), rpc::Value(chunk)})
+                    .as_bool());
+    content += chunk;
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  }
+  const std::string md5 = crypto::Md5::hex(content);
+  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }));
+
+  // 32 landed-write notices, but one confirm poll on the primary, one
+  // copy, and one verifying hash on the copy's target.
+  federation::ReplicatorStats stats = c.head->replicator()->stats();
+  EXPECT_EQ(stats.commits, 32u);
+  EXPECT_EQ(stats.copies, 1u);
+  std::size_t primary = c.index_of(c.layout(path).replicas.at(0).node_id);
+  EXPECT_EQ(c.checksums[primary].load(), 1);
+  EXPECT_EQ(c.checksums[1 - primary].load(), 1);
+  EXPECT_EQ(c.disk(0, path), content);
+  EXPECT_EQ(c.disk(1, path), content);
+}
+
+TEST(ReplicationCluster, NoticeDuringTheConfirmPollDiscardsThePoll) {
+  ReplicationCluster c(/*debounce_ms=*/100);
+  ASSERT_TRUE(c.ready);
+  const std::string path = "/data/race/f.bin";
+  const std::string tail = "-bytes that landed during the poll";
+  std::atomic<bool> injected{false};
+  // The first checksum anywhere is the confirm poll on the primary.
+  // Once it has hashed the file, a write lands and its notice arrives
+  // before the poll's answer does.
+  c.count_checksums([&](std::size_t node, const std::string& polled) {
+    if (injected.exchange(true)) return;
+    std::ofstream(c.dirs[node] + "/race/f.bin", std::ios::app) << tail;
+    c.head->replicator()->note_commit(
+        polled, "fedfarm/fst" + std::to_string(node),
+        {kAlice, false, ""});
+  });
+  std::unique_ptr<client::RoutedClient> routed = c.client();
+  client::RoutedClient& client = *routed;
+  client.call("file.mkdir", {rpc::Value("/data/race")});
+  const std::string body(20000, 'r');
+  ASSERT_TRUE(
+      client.call("file.write", {rpc::Value(path), rpc::Value(body)})
+          .as_bool());
+
+  // The hash of the pre-notice bytes was dropped; the second poll
+  // confirmed what the primary holds now, and that is what was copied.
+  const std::string md5 = crypto::Md5::hex(body + tail);
+  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }))
+      << "layout checksum " << c.layout(path).checksum;
+  std::size_t primary = c.index_of(c.layout(path).replicas.at(0).node_id);
+  EXPECT_EQ(c.checksums[primary].load(), 2);
+  EXPECT_EQ(c.head->replicator()->stats().copies, 1u);
+  EXPECT_EQ(c.disk(1 - primary, path), body + tail);
+}
+
+TEST(ReplicationCluster, LateWriteReopensTheLayoutAndFsckKeepsIt) {
+  // A long quiet window: the scrub below meets the reopened layout
+  // before the debounced task does.
+  ReplicationCluster c(/*debounce_ms=*/3000);
+  ASSERT_TRUE(c.ready);
+  std::unique_ptr<client::RoutedClient> routed = c.client();
+  client::RoutedClient& client = *routed;
+  const std::string path = "/data/late/f.bin";
+  const std::string v1 = "first version of the file";
+  client.call("file.mkdir", {rpc::Value("/data/late")});
+  ASSERT_TRUE(
+      client.call("file.write", {rpc::Value(path), rpc::Value(v1)}).as_bool());
+  // replica.repair confirms and copies now, without the quiet window.
+  std::string error;
+  ASSERT_TRUE(c.head->replicator()->repair_file(path, {kAlice, false, ""},
+                                                &error))
+      << error;
+  ASSERT_TRUE(c.replicated(path, crypto::Md5::hex(v1)));
+  std::size_t primary = c.index_of(c.layout(path).replicas.at(0).node_id);
+  std::size_t secondary = 1 - primary;
+
+  // A later write on the primary under a still-valid ticket.
+  auto direct = c.node_client(
+      primary, c.head->router()->mint_ticket(kAlice, false, "", "/data/late",
+                                             /*write=*/true));
+  const std::string v2 = v1 + " and its late tail";
+  ASSERT_TRUE(direct
+                  ->call("file.append", {rpc::Value(path),
+                                         rpc::Value(std::string(
+                                             v2.substr(v1.size())))})
+                  .as_bool());
+
+  // The notice reopened the layout: no checksum, the secondary stale.
+  federation::FileLayout reopened = c.layout(path);
+  EXPECT_FALSE(reopened.confirmed);
+  EXPECT_TRUE(reopened.checksum.empty());
+  ASSERT_EQ(reopened.replicas.size(), 2u);
+  EXPECT_EQ(c.index_of(reopened.replicas[0].node_id), primary);
+  ASSERT_NE(reopened.find("fedfarm/fst" + std::to_string(secondary)), nullptr);
+  EXPECT_EQ(reopened.find("fedfarm/fst" + std::to_string(secondary))->state,
+            federation::ReplicaState::Stale);
+
+  // The scrub confirms the primary's new bytes and repairs the
+  // secondary from them; it never reverts the primary.
+  federation::FsckReport scrub = c.head->replicator()->fsck("/data/late");
+  EXPECT_EQ(scrub.mismatched, 1);
+  EXPECT_EQ(scrub.repaired, 1);
+  EXPECT_EQ(scrub.failed, 0);
+  EXPECT_TRUE(c.replicated(path, crypto::Md5::hex(v2)));
+  EXPECT_EQ(c.disk(primary, path), v2);
+  EXPECT_EQ(c.disk(secondary, path), v2);
+
+  federation::FsckReport again = c.head->replicator()->fsck("/data/late");
+  EXPECT_EQ(again.mismatched, 0);
+  EXPECT_EQ(again.repaired, 0);
+  EXPECT_EQ(c.disk(primary, path), v2);
+  EXPECT_EQ(c.disk(secondary, path), v2);
+}
+
+TEST(ReplicationCluster, SpoofedReplicationHeaderStillSendsTheNotice) {
+  ReplicationCluster c(/*debounce_ms=*/100);
+  ASSERT_TRUE(c.ready);
+  federation::Router& router = *c.head->router();
+  // A user write ticket plus the header the repair engine once used to
+  // mark its copies: the node must still tell the head.
+  auto spoofer = c.node_client(
+      0, router.mint_ticket(kAlice, false, "", "/data/spoof", true));
+  spoofer->set_header("X-Clarens-Replication", "1");
+  spoofer->call("file.mkdir", {rpc::Value("/data/spoof")});
+  std::uint64_t before = c.head->replicator()->stats().commits;
+  ASSERT_TRUE(spoofer
+                  ->call("file.write", {rpc::Value("/data/spoof/f.bin"),
+                                        rpc::Value(std::string("x"))})
+                  .as_bool());
+  EXPECT_EQ(c.head->replicator()->stats().commits, before + 1);
+  federation::FileLayout layout = c.layout("/data/spoof/f.bin");
+  ASSERT_FALSE(layout.replicas.empty());
+  EXPECT_EQ(layout.replicas[0].node_id, "fedfarm/fst0");
+
+  // Only the signed bit, which the head mints for its own copies,
+  // suppresses the notice.
+  auto repair = c.node_client(
+      0, router.mint_ticket(kAlice, false, "", "/data/spoof", true,
+                            /*replication=*/true));
+  ASSERT_TRUE(repair
+                  ->call("file.write", {rpc::Value("/data/spoof/g.bin"),
+                                        rpc::Value(std::string("y"))})
+                  .as_bool());
+  EXPECT_EQ(c.head->replicator()->stats().commits, before + 1);
+  EXPECT_FALSE(c.head->layouts()->get("/data/spoof/g.bin").has_value());
 }
 
 }  // namespace
