@@ -41,11 +41,18 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
   // The repair engine's own copies carry the signed replication bit and
   // are excluded: the head already knows what it is landing, and a
   // notice per copy chunk would reopen the layout it is completing.
+  // A failed write notifies too: it may have left part of its bytes, and
+  // either way it answers the redirect whose notice the head awaits.
   auto committed = [on_commit](const rpc::CallContext& context,
-                               const std::string& path) {
-    if (on_commit && context.via_ticket && !context.replication) {
-      on_commit(context, path);
+                               const std::string& path, auto&& write) {
+    bool notify = on_commit && context.via_ticket && !context.replication;
+    try {
+      write();
+    } catch (...) {
+      if (notify) on_commit(context, path);
+      throw;
     }
+    if (notify) on_commit(context, path);
   };
 
   registry.bind(
@@ -78,8 +85,8 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
       [f, committed](const rpc::CallContext& context, const std::string& path,
                      rpc::Blob data) {
         check_ticket(context, path, /*write=*/true);
-        f->write(path, data.bytes, caller_dn(context));
-        committed(context, path);
+        committed(context, path,
+                  [&] { f->write(path, data.bytes, caller_dn(context)); });
         return true;
       },
       {.help = "Create or overwrite a remote file",
@@ -90,8 +97,8 @@ void register_file_methods(FileService& files, rpc::Registry& registry,
       [f, committed](const rpc::CallContext& context, const std::string& path,
                      rpc::Blob data) {
         check_ticket(context, path, /*write=*/true);
-        f->append(path, data.bytes, caller_dn(context));
-        committed(context, path);
+        committed(context, path,
+                  [&] { f->append(path, data.bytes, caller_dn(context)); });
         return true;
       },
       {.help = "Append to (creating if needed) a remote file",

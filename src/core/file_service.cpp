@@ -232,6 +232,8 @@ void FileService::write(const std::string& path,
   if (!out) throw SystemError("cannot write file: '" + path + "'");
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
+  out.close();  // a full disk shows only when the buffer is flushed
+  if (!out) throw SystemError("cannot write file: '" + path + "'");
 }
 
 void FileService::append(const std::string& path,
@@ -246,6 +248,8 @@ void FileService::append(const std::string& path,
   if (!out) throw SystemError("cannot append to file: '" + path + "'");
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
+  out.close();
+  if (!out) throw SystemError("cannot append to file: '" + path + "'");
 }
 
 void FileService::mkdir(const std::string& path,

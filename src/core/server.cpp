@@ -104,11 +104,11 @@ ClarensServer::ClarensServer(ClarensConfig config)
 
   if (config_.node_role == NodeRole::Storage && !config_.head_url.empty() &&
       !config_.node_ticket_secret.empty()) {
-    // Commit notifications ride the same plaintext JSON-RPC peer channel
+    // Commit notifications ride the same plaintext binrpc peer channel
     // the head uses toward storage nodes (the trust boundary is the node
     // ticket, not the transport).
     client::ClientOptions base;
-    base.protocol = rpc::Protocol::JsonRpc;
+    base.protocol = rpc::Protocol::Binary;
     head_pool_ = std::make_unique<client::PeerPool>(std::move(base));
   }
 
@@ -320,9 +320,9 @@ void ClarensServer::notify_commit(const rpc::CallContext& context,
       throw;
     }
   } catch (const std::exception& error) {
-    // Best effort: the redirect that minted this ticket already
-    // reopened the layout; only a later write on a reused ticket
-    // depends on this notice alone.
+    // Best effort: until a notice follows the last redirect the head only
+    // adopts the hashes it polls, so fsck re-polls rather than reverting
+    // these bytes. A write on a reused ticket has only this notice.
     CLARENS_LOG(Warn) << "commit notification for '" << path
                       << "' failed: " << error.what();
   }

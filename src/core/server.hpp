@@ -260,8 +260,9 @@ class ClarensServer {
   /// Verify a presented node ticket against the cluster secret. Throws
   /// AuthError on a bad/expired token or when this server takes none.
   federation::NodeTicket check_node_ticket(const std::string& token) const;
-  /// Storage role: after a ticket-authorized write/append lands, tell
-  /// the head which node now holds the newest bytes (replica.committed).
+  /// Storage role: after a ticket-authorized write/append ends (landed
+  /// or failed), tell the head which node now holds the newest bytes
+  /// (replica.committed).
   /// Constant cost: no hash, no stat. Best effort.
   void notify_commit(const rpc::CallContext& context, const std::string& path);
 

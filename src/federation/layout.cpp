@@ -68,6 +68,7 @@ int FileLayout::count(ReplicaState state) const {
 //   checksum d41d8cd98f00b204e9800998ecf8427e confirmed
 //   size 4096
 //   generation 3
+//   awaiting_notice
 //   updated_at 1754700000
 //   dn /O=testgrid.org/OU=People/CN=Alice Able
 //   via_proxy 1 SERIAL
@@ -85,6 +86,7 @@ std::string FileLayout::encode() const {
   }
   out << "size " << size << "\n";
   out << "generation " << generation << "\n";
+  if (awaiting_notice) out << "awaiting_notice\n";
   out << "updated_at " << updated_at << "\n";
   if (!dn.empty()) out << "dn " << dn << "\n";
   if (via_proxy) out << "via_proxy " << proxy_serial << "\n";
@@ -118,6 +120,8 @@ std::optional<FileLayout> FileLayout::decode(const std::string& path,
       layout.size = std::atoll(rest.c_str());
     } else if (key == "generation") {
       layout.generation = std::strtoull(rest.c_str(), nullptr, 10);
+    } else if (key == "awaiting_notice") {
+      layout.awaiting_notice = true;
     } else if (key == "updated_at") {
       layout.updated_at = std::atoll(rest.c_str());
     } else if (key == "dn") {

@@ -20,11 +20,13 @@
 // Every write event (redirect minted, landed-write notice) bumps the
 // layout's generation and clears its checksum. The checksum is
 // *confirmed* when the replicator polled it from the primary — the node
-// that took the last write — and the generation did not move during the
-// poll. A hash taken from whatever copy replica.repair found of a file
-// the head had no layout for is merely adopted: fsck re-polls the
-// primary before trusting it (an adopted checksum could predate the
-// client's write; overwriting the primary from it would lose data).
+// that took the last write — after the landed-write notice of the last
+// minted redirect came in, and the generation did not move during the
+// poll. Any other hash is merely adopted: a poll taken before a
+// redirected write landed, or whatever copy replica.repair found of a
+// file the head had no layout for. fsck re-polls the primary before trusting an adopted hash (it
+// could predate the client's write; overwriting the primary from it
+// would lose data).
 //
 // Persistence: one db::Store row per file in table "layout" (the head's
 // own store), a line-oriented value format parsed leniently so layouts
@@ -61,6 +63,7 @@ struct FileLayout {
   bool confirmed = false;    // checksum polled from the primary, no write since
   std::int64_t size = -1;    // -1 = not yet known
   std::uint64_t generation = 0;  // bumped by every write event
+  bool awaiting_notice = false;  // a redirect minted since the last notice
   std::int64_t updated_at = 0;  // unix seconds of the last table write
   /// Writer identity: repair copies are made with tickets minted for the
   /// original writer, so the repair engine never holds more authority

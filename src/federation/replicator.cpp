@@ -69,11 +69,27 @@ void Replicator::stop() {
 void Replicator::note_write(const std::string& path,
                             const std::string& primary_id,
                             const WriterIdentity& who) {
+  reopen(path, primary_id, who, /*minted=*/true);
+}
+
+void Replicator::note_commit(const std::string& path,
+                             const std::string& node_id,
+                             const WriterIdentity& who) {
+  // A direct ticketed write we never saw a redirect for is adopted the
+  // same way: the notice names the node holding the newest bytes.
+  reopen(path, node_id, who, /*minted=*/false);
+  util::LockGuard lock(mutex_);
+  ++stats_.commits;
+}
+
+void Replicator::reopen(const std::string& path, const std::string& primary_id,
+                        const WriterIdentity& who, bool minted) {
   layouts_.update(path, [&](FileLayout& layout) {
     if (layout.replicas.empty()) layout.replica_count = options_.replicas;
     // The bytes landing on the primary supersede every other copy; the
     // content hash is unknown until the confirm poll.
     ++layout.generation;
+    layout.awaiting_notice = minted;
     layout.checksum.clear();
     layout.confirmed = false;
     layout.size = -1;
@@ -94,17 +110,7 @@ void Replicator::note_write(const std::string& path,
     std::rotate(layout.replicas.begin(), it, it + 1);
     return true;
   });
-  debounce(path);
-}
-
-void Replicator::note_commit(const std::string& path,
-                             const std::string& node_id,
-                             const WriterIdentity& who) {
-  // A direct ticketed write we never saw a redirect for is adopted the
-  // same way: the notice names the node holding the newest bytes.
-  note_write(path, node_id, who);
-  util::LockGuard lock(mutex_);
-  ++stats_.commits;
+  enqueue(Task::Kind::Replicate, path, Urgency::Quiet);
 }
 
 void Replicator::note_remove(const std::string& path) {
@@ -116,7 +122,7 @@ void Replicator::note_remove(const std::string& path) {
         (managed.size() <= path.size() || managed[path.size()] != '/')) {
       continue;
     }
-    enqueue(Task::Kind::Purge, managed, 0);
+    enqueue(Task::Kind::Purge, managed, Urgency::Now);
   }
 }
 
@@ -193,7 +199,7 @@ std::size_t Replicator::drain(const std::string& node_id) {
   for (const std::string& path : layouts_.paths("")) {
     std::optional<FileLayout> layout = layouts_.get(path);
     if (layout && layout->find(node_id)) {
-      enqueue(Task::Kind::Replicate, path, 0);
+      enqueue(Task::Kind::Replicate, path, Urgency::Now);
       ++enqueued;
     }
   }
@@ -260,46 +266,32 @@ ReplicatorStats Replicator::stats() const {
 // Worker.
 
 void Replicator::enqueue(Task::Kind kind, const std::string& path,
-                         int delay_ms, bool sweep) {
-  Clock::time_point at = Clock::now() + ms(delay_ms);
+                         Urgency urgency) {
+  Clock::time_point now = Clock::now();
+  Clock::time_point at =
+      urgency == Urgency::Quiet ? now + ms(options_.retry_base_ms) : now;
   {
     util::LockGuard lock(mutex_);
-    for (Task& task : queue_) {
-      if (task.kind == kind && task.path == path) {
-        // Collapse onto the queued task; a fresh event outranks any
-        // backoff it accumulated. A sweep only hurries tasks in backoff:
-        // cutting a write's quiet window short would hash a file that is
-        // still growing.
-        if (sweep && task.attempt == 0) return;
-        task.not_before = std::min(task.not_before, at);
-        task.attempt = 0;
-        cv_.notify_one();
-        return;
-      }
-    }
-    queue_.push_back({kind, path, 0, at, at + ms(options_.retry_max_ms)});
-    ++stats_.enqueued;
-  }
-  cv_.notify_one();
-}
-
-void Replicator::debounce(const std::string& path) {
-  Clock::time_point now = Clock::now();
-  Clock::time_point at = now + ms(options_.retry_base_ms);
-  util::LockGuard lock(mutex_);
-  for (Task& task : queue_) {
-    if (task.kind == Task::Kind::Replicate && task.path == path) {
-      // Writes still landing push the poll back, so a file written in
-      // many appends is hashed and copied once; the deadline keeps a file
-      // appended to forever from starving.
-      task.not_before = std::min(at, task.deadline);
-      task.attempt = 0;
-      return;
+    auto task = std::find_if(queue_.begin(), queue_.end(), [&](const Task& t) {
+      return t.kind == kind && t.path == path;
+    });
+    if (task == queue_.end()) {
+      queue_.push_back({kind, path, 0, at, now + ms(options_.retry_max_ms)});
+      ++stats_.enqueued;
+    } else {
+      // Collapse onto the queued task, dropping its backoff. A write
+      // pushes it back (a file written in many appends is hashed and
+      // copied once) but never past its deadline; a sweep must not cut a
+      // write's quiet window short, so it only hurries tasks in backoff.
+      if (urgency == Urgency::Sweep && task->attempt == 0) return;
+      Clock::time_point before = task->not_before;
+      task->not_before = urgency == Urgency::Quiet
+                             ? std::min(at, task->deadline)
+                             : std::min(at, task->not_before);
+      task->attempt = 0;
+      if (task->not_before >= before) return;  // the worker wakes in time
     }
   }
-  queue_.push_back({Task::Kind::Replicate, path, 0, at,
-                    now + ms(options_.retry_max_ms)});
-  ++stats_.enqueued;
   cv_.notify_one();
 }
 
@@ -460,7 +452,7 @@ void Replicator::on_node_lost(const std::string& node_id) {
       affected = true;
       return true;
     });
-    if (affected) enqueue(Task::Kind::Replicate, path, 0);
+    if (affected) enqueue(Task::Kind::Replicate, path, Urgency::Now);
   }
 }
 
@@ -478,7 +470,7 @@ void Replicator::enqueue_under_replicated() {
       }
     }
     if (healthy < std::max(1, layout->replica_count) || draining_replica) {
-      enqueue(Task::Kind::Replicate, path, 0, /*sweep=*/true);
+      enqueue(Task::Kind::Replicate, path, Urgency::Sweep);
     }
   }
 }
@@ -529,8 +521,11 @@ bool Replicator::confirm(FileLayout& layout, const std::vector<NodeInfo>& live,
         }
       }
     }
+    // A redirected write whose notice has not come in may land after the
+    // poll (a slow upload), and its notice may be lost: until the notice
+    // comes, the hash is only adopted and fsck re-polls the primary.
     current.checksum = sum;
-    current.confirmed = true;
+    current.confirmed = !current.awaiting_notice;
     current.size = size;
     current.mark(primary->id, ReplicaState::Healthy);
     applied = true;

@@ -15,7 +15,8 @@
 //     appends is hashed and copied once, when the writes go quiet.
 //   * A single worker thread drains the queue through the Router's
 //     keep-alive peer pools: confirm the primary's checksum with one
-//     file.checksum poll (dropped if the generation moved meanwhile),
+//     file.checksum poll (dropped if the generation moved meanwhile;
+//     only adopted while the last redirect awaits its notice),
 //     copy chunks from a healthy replica (file.read), land them on the
 //     target (file.write + file.append), then verify with file.checksum
 //     before marking the replica healthy.
@@ -140,13 +141,15 @@ class Replicator {
 
   /// A write/append redirect for `path` was minted toward `primary_id`:
   /// the layout reopens — generation bumped, checksum unknown until the
-  /// debounced confirm poll, every other replica presumed stale.
+  /// debounced confirm poll, every other replica presumed stale — and
+  /// awaits the write's landed-write notice.
   void note_write(const std::string& path, const std::string& primary_id,
                   const WriterIdentity& who);
 
   /// A storage node reported a landed write (replica.committed): the
   /// layout reopens exactly as for note_write, with `node_id` as the
-  /// primary. Constant cost; the hash comes from the confirm poll.
+  /// primary, and no longer awaits a notice. Constant cost; the hash
+  /// comes from the confirm poll.
   void note_commit(const std::string& path, const std::string& node_id,
                    const WriterIdentity& who);
 
@@ -198,10 +201,14 @@ class Replicator {
   void tick();
   void on_node_lost(const std::string& node_id);
   void enqueue_under_replicated();
-  void enqueue(Task::Kind kind, const std::string& path, int delay_ms,
-               bool sweep = false);
-  /// Queue (or push back) `path`'s Replicate task after a write event.
-  void debounce(const std::string& path);
+  /// Now pulls the path's queued task forward, Quiet (a write) pushes it
+  /// back, Sweep only hurries a task in backoff.
+  enum class Urgency { Now, Quiet, Sweep };
+  void enqueue(Task::Kind kind, const std::string& path, Urgency urgency);
+  /// note_write (`minted`: the redirect's notice is awaited) and
+  /// note_commit (the notice).
+  void reopen(const std::string& path, const std::string& primary_id,
+              const WriterIdentity& who, bool minted);
 
   /// Bring `path` up to its layout's replica target. `copies_out`, when
   /// non-null, accumulates the number of replica copies made.
@@ -210,9 +217,10 @@ class Replicator {
   bool run_purge(const std::string& path, std::string* error_out);
   bool copy_replica(const FileLayout& layout, const NodeInfo& source,
                     const NodeInfo& target, std::string* error_out);
-  /// Poll the primary's checksum and record it as the confirmed truth,
-  /// unless the generation moved during the poll. Reloads `layout`
-  /// whenever the poll answered.
+  /// Poll the primary's checksum and record it as the layout truth,
+  /// unless the generation moved during the poll: confirmed, or only
+  /// adopted while the last minted redirect awaits its notice. Reloads
+  /// `layout` whenever the poll answered.
   bool confirm(FileLayout& layout, const std::vector<NodeInfo>& live,
                std::string* error_out);
 

@@ -9,12 +9,14 @@ namespace clarens::federation {
 namespace {
 
 client::ClientOptions pool_base() {
-  // Peer traffic inside the cluster is plaintext JSON-RPC: the trust
+  // Peer traffic inside the cluster is plaintext binrpc: the trust
   // boundary is the node ticket, not the transport, and heads/storage
   // nodes share a network segment in the deployments the paper
   // describes. TLS peers still work (PeerEndpoint::parse flips use_tls).
+  // binrpc moves the repair engine's file chunks as raw bytes, so its
+  // copies keep pace with the uploads they follow.
   client::ClientOptions base;
-  base.protocol = rpc::Protocol::JsonRpc;
+  base.protocol = rpc::Protocol::Binary;
   return base;
 }
 
@@ -150,7 +152,7 @@ std::vector<client::FanOutReply> Router::fan_out(
   if (!plain_targets.empty()) {
     std::vector<client::FanOutReply> fanned = client::fan_out(
         plain_targets, method, params,
-        {{"X-Clarens-Node-Ticket", ticket}}, rpc::Protocol::JsonRpc);
+        {{"X-Clarens-Node-Ticket", ticket}}, rpc::Protocol::Binary);
     for (std::size_t j = 0; j < fanned.size(); ++j) {
       replies[plain_index[j]] = std::move(fanned[j]);
     }

@@ -137,6 +137,17 @@ TEST_F(FileFixture, AppendExtendsAndCreates) {
   EXPECT_EQ(std::string(back.begin(), back.end()), "chunk-one|chunk-two");
 }
 
+TEST_F(FileFixture, WriteToAFullDiskThrows) {
+  // /dev/full accepts the open and fails the flush with ENOSPC, as a full
+  // disk does: the bytes did not land, so the caller must hear about it.
+  std::filesystem::create_symlink("/dev/full", dir + "/full.bin");
+  std::string payload(4096, 'x');
+  std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size());
+  EXPECT_THROW(files.write("/data/full.bin", bytes, alice()), SystemError);
+  EXPECT_THROW(files.append("/data/full.bin", bytes, alice()), SystemError);
+}
+
 TEST_F(FileFixture, FindByPatternAndWildcard) {
   auto hits = files.find("/data", "nested", alice());
   ASSERT_EQ(hits.size(), 1u);

@@ -31,6 +31,7 @@
 #include "federation/node_ticket.hpp"
 #include "federation/router.hpp"
 #include "rpc/fault.hpp"
+#include "federation_fixtures.hpp"
 #include "test_fixtures.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
@@ -40,55 +41,11 @@
 namespace clarens {
 namespace {
 
+using testing::eventually;
+using testing::kClusterSecret;
+using testing::node_config;
 using testing::TempDir;
 using testing::TestPki;
-
-constexpr const char* kSecret = "federation-cluster-secret";
-
-/// Poll until `predicate` holds or ~5 s elapse (sanitizer headroom).
-template <typename F>
-bool eventually(F predicate) {
-  for (int i = 0; i < 250; ++i) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return predicate();
-}
-
-core::AclSpec allow_anyone() {
-  core::AclSpec spec;
-  spec.allow_dns = {core::AclSpec::kAnyone};
-  return spec;
-}
-
-core::ClarensConfig node_config(const TestPki& pki, const std::string& node,
-                                core::NodeRole role,
-                                const std::string& data_dir,
-                                const std::string& head_url,
-                                std::uint16_t station_port) {
-  core::ClarensConfig config;
-  config.trust = pki.trust;
-  config.admins = {"/O=testgrid.org/OU=People/CN=Alice Able"};
-  core::AclSpec anyone = allow_anyone();
-  config.initial_method_acls = {{"system", anyone},
-                                {"echo", anyone},
-                                {"file", anyone},
-                                {"replica", anyone}};
-  core::FileAcl facl;
-  facl.read = anyone;
-  facl.write = anyone;
-  config.initial_file_acls = {{"/data", facl}};
-  config.farm = "fedfarm";
-  config.node = node;
-  config.node_role = role;
-  config.node_ticket_secret = kSecret;
-  config.head_url = head_url;
-  config.station = {{"127.0.0.1", station_port}};
-  config.publish_interval_ms = 100;
-  config.federation_refresh_ms = 100;
-  if (!data_dir.empty()) config.file_roots = {{"/data", data_dir}};
-  return config;
-}
 
 std::size_t files_under(const std::string& dir) {
   std::size_t n = 0;
@@ -220,7 +177,7 @@ TEST(FederationCluster, RedirectedIoAcrossNodesSurvivesNodeRestart) {
     if (auto amp = token.find('&'); amp != std::string::npos) {
       token.resize(amp);
     }
-    auto minted = federation::NodeTicket::verify(kSecret, token,
+    auto minted = federation::NodeTicket::verify(kClusterSecret, token,
                                                  util::unix_now());
     ASSERT_TRUE(minted.has_value());
     EXPECT_EQ(minted->dn, "/O=testgrid.org/OU=People/CN=Alice Able");
@@ -301,18 +258,6 @@ TEST(FederationCluster, RedirectedIoAcrossNodesSurvivesNodeRestart) {
   storage2->stop();
   storage1->stop();
   head.stop();
-}
-
-/// Poll with an explicit budget — re-replication after a node death has
-/// to wait out the discovery TTL plus the grace period, which does not
-/// fit eventually()'s 5 s under sanitizers.
-template <typename F>
-bool eventually_for(int seconds, F predicate) {
-  for (int i = 0; i < seconds * 50; ++i) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return predicate();
 }
 
 std::string disk_bytes(const std::string& file) {
@@ -414,7 +359,7 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
     }
     return true;
   };
-  ASSERT_TRUE(eventually_for(15, fully_replicated))
+  ASSERT_TRUE(eventually(fully_replicated, 15))
       << "initial replication never converged";
 
   // The table and the disks agree: each file sits on exactly the two
@@ -467,7 +412,7 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
                                        rpc::Value(std::string("recovered"))})
                   .as_bool());
   written["/data/rep1/eio.bin"] = "recovered";
-  ASSERT_TRUE(eventually_for(15, fully_replicated));
+  ASSERT_TRUE(eventually(fully_replicated, 15));
 #endif
 
   // Kill a replica-holding node for good. The client keeps reading the
@@ -510,7 +455,7 @@ TEST(FederationCluster, SelfHealingReplicationSurvivesNodeDeathAndBitRot) {
     }
     return true;
   };
-  ASSERT_TRUE(eventually_for(30, survivors_hold_everything))
+  ASSERT_TRUE(eventually(survivors_hold_everything, 30))
       << "re-replication after node death never converged";
   for (const auto& [path, payload] : written) {
     std::string rel = path.substr(std::string("/data").size());
@@ -577,7 +522,7 @@ TEST(FederationCluster, StorageEnforcesTicketScopeAndVerb) {
     ticket.scope = scope;
     ticket.write = write;
     ticket.expires = util::unix_now() + 60;
-    return ticket.mint(kSecret);
+    return ticket.mint(kClusterSecret);
   };
   auto read_call = [](const std::string& path) {
     return std::vector<rpc::Value>{rpc::Value(path),

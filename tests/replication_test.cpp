@@ -29,6 +29,8 @@
 #include "federation/layout.hpp"
 #include "federation/replicator.hpp"
 #include "federation/router.hpp"
+#include "federation_fixtures.hpp"
+#include "rpc/binding.hpp"
 #include "test_fixtures.hpp"
 #include "util/fault.hpp"
 
@@ -36,6 +38,7 @@ namespace clarens {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::eventually;
 
 // ---------------------------------------------------------------------------
 // FileLayout value format
@@ -48,6 +51,7 @@ TEST(FileLayout, EncodeDecodeRoundtrip) {
   layout.confirmed = true;
   layout.size = 4096;
   layout.generation = 7;
+  layout.awaiting_notice = true;
   layout.updated_at = 1754700000;
   layout.dn = "/O=testgrid.org/OU=People/CN=Alice Able";  // embedded spaces
   layout.via_proxy = true;
@@ -66,6 +70,7 @@ TEST(FileLayout, EncodeDecodeRoundtrip) {
   EXPECT_TRUE(decoded->confirmed);
   EXPECT_EQ(decoded->size, 4096);
   EXPECT_EQ(decoded->generation, 7u);
+  EXPECT_TRUE(decoded->awaiting_notice);
   EXPECT_EQ(decoded->updated_at, 1754700000);
   EXPECT_EQ(decoded->dn, layout.dn);
   EXPECT_TRUE(decoded->via_proxy);
@@ -385,6 +390,18 @@ TEST_F(ReplicatorTest, CommitReopensTheLayoutAndPromotesThePrimary) {
   EXPECT_EQ(replicator.stats().queue_depth, 1u);
 }
 
+TEST_F(ReplicatorTest, RedirectAwaitsItsNoticeAndTheNoticeEndsTheWait) {
+  federation::Replicator replicator = make_replicator();
+  replicator.note_write("/data/run1/a", "fedfarm/fst1", alice_);
+  // The redirected bytes may land any time: a poll now is only adopted.
+  EXPECT_TRUE(layouts_.get("/data/run1/a")->awaiting_notice);
+  replicator.note_commit("/data/run1/a", "fedfarm/fst1", alice_);
+  EXPECT_FALSE(layouts_.get("/data/run1/a")->awaiting_notice);
+  // A write on a reused ticket has no redirect to wait for.
+  replicator.note_commit("/data/run1/a", "fedfarm/fst1", alice_);
+  EXPECT_FALSE(layouts_.get("/data/run1/a")->awaiting_notice);
+}
+
 TEST_F(ReplicatorTest, RewriteDemotesSurvivingHealthyReplicas) {
   federation::Replicator replicator = make_replicator();
   replicator.note_write("/data/run1/a", "fedfarm/fst1", alice_);
@@ -489,45 +506,7 @@ TEST_F(ReplicatorTest, StartStopIdempotentAndStopWithoutStartIsSafe) {
 // ---------------------------------------------------------------------------
 // The write path against a live head + two storage nodes
 
-constexpr const char* kClusterSecret = "replication-cluster-secret";
 constexpr const char* kAlice = "/O=testgrid.org/OU=People/CN=Alice Able";
-
-/// Poll until `predicate` holds or ~10 s elapse (sanitizer headroom).
-template <typename F>
-bool eventually(F predicate) {
-  for (int i = 0; i < 500; ++i) {
-    if (predicate()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return predicate();
-}
-
-core::ClarensConfig cluster_config(const std::string& node,
-                                   core::NodeRole role,
-                                   const std::string& files,
-                                   const std::string& head_url,
-                                   std::uint16_t station_port) {
-  core::ClarensConfig config;
-  config.trust = testing::TestPki::instance().trust;
-  core::AclSpec anyone;
-  anyone.allow_dns = {core::AclSpec::kAnyone};
-  config.initial_method_acls = {
-      {"system", anyone}, {"file", anyone}, {"replica", anyone}};
-  core::FileAcl facl;
-  facl.read = anyone;
-  facl.write = anyone;
-  config.initial_file_acls = {{"/data", facl}};
-  config.farm = "fedfarm";
-  config.node = node;
-  config.node_role = role;
-  config.node_ticket_secret = kClusterSecret;
-  config.head_url = head_url;
-  config.station = {{"127.0.0.1", station_port}};
-  config.publish_interval_ms = 100;
-  config.federation_refresh_ms = 100;
-  if (!files.empty()) config.file_roots = {{"/data", files}};
-  return config;
-}
 
 /// One head (placement_replicas 2) and storage nodes fst0/fst1.
 /// `debounce_ms` is the head's replication_retry_base_ms: how long
@@ -544,10 +523,14 @@ class ReplicationCluster {
   explicit ReplicationCluster(int debounce_ms, int grace_ms = 5000)
       : discovery_(discovery_store_, /*record_ttl=*/60) {
     discovery_.subscribe("127.0.0.1", station_.port());
-    core::ClarensConfig config = cluster_config(
-        "head", core::NodeRole::Head, "", "", station_.port());
+    core::ClarensConfig config = testing::node_config(
+        testing::TestPki::instance(), "head", core::NodeRole::Head, "", "",
+        station_.port());
     config.placement_replicas = 2;
     config.replication_retry_base_ms = debounce_ms;
+    // Writes may postpone a file's task for up to a minute, so the tests
+    // pin the debounce, not how fast the host runs the uploads.
+    config.replication_retry_max_ms = 60000;
     config.replication_grace_ms = grace_ms;
     head = std::make_unique<core::ClarensServer>(std::move(config));
     head->attach_discovery(discovery_);
@@ -555,12 +538,14 @@ class ReplicationCluster {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       dirs[i] = tmp_.sub("fst" + std::to_string(i));
       nodes[i] = std::make_unique<core::ClarensServer>(
-          cluster_config("fst" + std::to_string(i), core::NodeRole::Storage,
-                         dirs[i], head->url(), station_.port()));
+          testing::node_config(testing::TestPki::instance(),
+                               "fst" + std::to_string(i),
+                               core::NodeRole::Storage, dirs[i], head->url(),
+                               station_.port()));
       nodes[i]->start();
     }
     ready = eventually(
-        [&] { return head->router()->storage_nodes().size() == 2; });
+        [&] { return head->router()->storage_nodes().size() == 2; }, 10);
   }
 
   ~ReplicationCluster() {
@@ -666,7 +651,7 @@ TEST(ReplicationCluster, AppendedFileIsHashedOnceAndCopiedOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
   }
   const std::string md5 = crypto::Md5::hex(content);
-  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }));
+  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }, 10));
 
   // 32 landed-write notices, but one confirm poll on the primary, one
   // copy, and one verifying hash on the copy's target.
@@ -707,7 +692,7 @@ TEST(ReplicationCluster, NoticeDuringTheConfirmPollDiscardsThePoll) {
   // The hash of the pre-notice bytes was dropped; the second poll
   // confirmed what the primary holds now, and that is what was copied.
   const std::string md5 = crypto::Md5::hex(body + tail);
-  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }))
+  ASSERT_TRUE(eventually([&] { return c.replicated(path, md5); }, 10))
       << "layout checksum " << c.layout(path).checksum;
   std::size_t primary = c.index_of(c.layout(path).replicas.at(0).node_id);
   EXPECT_EQ(c.checksums[primary].load(), 2);
@@ -774,6 +759,54 @@ TEST(ReplicationCluster, LateWriteReopensTheLayoutAndFsckKeepsIt) {
   EXPECT_EQ(c.disk(secondary, path), v2);
 }
 
+TEST(ReplicationCluster, SlowWriteWithALostNoticeIsNeverReverted) {
+  ReplicationCluster c(/*debounce_ms=*/100);
+  ASSERT_TRUE(c.ready);
+  std::unique_ptr<client::RoutedClient> routed = c.client();
+  client::RoutedClient& client = *routed;
+  const std::string path = "/data/slow/f.bin";
+  const std::string v1 = "first version of the file";
+  client.call("file.mkdir", {rpc::Value("/data/slow")});
+  ASSERT_TRUE(
+      client.call("file.write", {rpc::Value(path), rpc::Value(v1)}).as_bool());
+  ASSERT_TRUE(eventually(
+      [&] { return c.replicated(path, crypto::Md5::hex(v1)); }, 10));
+  std::size_t primary = c.index_of(c.layout(path).replicas.at(0).node_id);
+  std::size_t secondary = 1 - primary;
+
+  // A rewrite is redirected, but its upload is slow: the debounced poll
+  // runs first and still sees the old bytes.
+  const std::string v2 = "second version, which lands after the poll";
+  rpc::Value redirect =
+      client.head().call("file.write", {rpc::Value(path), rpc::Value(v2)});
+  ASSERT_TRUE(rpc::RedirectResult::is_redirect(redirect));
+  ASSERT_TRUE(eventually(
+      [&] {
+        federation::FileLayout l = c.layout(path);
+        return l.checksum == crypto::Md5::hex(v1) &&
+               l.count(federation::ReplicaState::Healthy) == 2;
+      },
+      10));
+  // The redirect's notice has not come in: the old hash is not the truth.
+  EXPECT_FALSE(c.layout(path).confirmed);
+
+  // The upload lands on the primary, and its notice is lost.
+  std::ofstream(c.dirs[primary] + "/slow/f.bin",
+                std::ios::binary | std::ios::trunc)
+      << v2;
+
+  // The scrub re-polls the primary and repairs the secondary from it.
+  federation::FsckReport scrub = c.head->replicator()->fsck("/data/slow");
+  EXPECT_EQ(scrub.mismatched, 1);
+  EXPECT_EQ(scrub.repaired, 1);
+  EXPECT_EQ(scrub.failed, 0);
+  EXPECT_EQ(c.disk(primary, path), v2);
+  EXPECT_EQ(c.disk(secondary, path), v2);
+  federation::FileLayout scrubbed = c.layout(path);
+  EXPECT_EQ(scrubbed.checksum, crypto::Md5::hex(v2));
+  EXPECT_EQ(scrubbed.count(federation::ReplicaState::Healthy), 2);
+}
+
 TEST(ReplicationCluster, SpoofedReplicationHeaderStillSendsTheNotice) {
   ReplicationCluster c(/*debounce_ms=*/100);
   ASSERT_TRUE(c.ready);
@@ -805,6 +838,23 @@ TEST(ReplicationCluster, SpoofedReplicationHeaderStillSendsTheNotice) {
                   .as_bool());
   EXPECT_EQ(c.head->replicator()->stats().commits, before + 1);
   EXPECT_FALSE(c.head->layouts()->get("/data/spoof/g.bin").has_value());
+}
+
+TEST(ReplicationCluster, FailedWriteStillSendsTheNotice) {
+  ReplicationCluster c(/*debounce_ms=*/100);
+  ASSERT_TRUE(c.ready);
+  // A failed write may have left part of its bytes, and it answers the
+  // redirect the head is waiting on all the same.
+  const std::string path = "/data/nodir/f.bin";
+  c.head->replicator()->note_write(path, "fedfarm/fst0", {kAlice, false, ""});
+  auto writer = c.node_client(
+      0, c.head->router()->mint_ticket(kAlice, false, "", "/data/nodir", true));
+  std::uint64_t before = c.head->replicator()->stats().commits;
+  EXPECT_THROW(writer->call("file.write",
+                            {rpc::Value(path), rpc::Value(std::string("x"))}),
+               std::exception);
+  EXPECT_EQ(c.head->replicator()->stats().commits, before + 1);
+  EXPECT_FALSE(c.layout(path).awaiting_notice);
 }
 
 }  // namespace
